@@ -34,6 +34,22 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
     return qs
 
 
+def _parse_suites(text: str) -> list[str]:
+    names = text.split(",")
+    for name in names:
+        if name != "all" and name not in SUITES:
+            raise argparse.ArgumentTypeError(
+                f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
+    return names
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="footprint-lab",
@@ -57,11 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--mode", choices=("reduced", "all"), default="reduced",
                      help="monomial basis for the er scan")
     sea.add_argument("--budget", type=int, default=None)
-    sea.add_argument("--workers", type=int, default=1)
+    sea.add_argument("--workers", type=_positive_int, default=1)
     _output_flags(sea)
 
     ver = sub.add_parser("verify", help="run named verification suites")
-    ver.add_argument("--suite", default="all", choices=tuple(SUITES) + ("all",))
+    ver.add_argument("--suite", type=_parse_suites, default="all",
+                     help="comma-separated suite names, or all")
     ver.add_argument("--q", type=_parse_q_list, default=None,
                      help="comma-separated field sizes, e.g. 2,3")
     ver.add_argument("--m-max", type=int, default=None)
@@ -70,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--quick", action="store_true",
                      help="pin the stock acceptance grids, ignoring grid flags")
     ver.add_argument("--budget", type=int, default=None)
-    ver.add_argument("--workers", type=int, default=1)
+    ver.add_argument("--workers", type=_positive_int, default=1)
     _output_flags(ver)
     return parser
 
@@ -148,7 +165,7 @@ def _cmd_search(args) -> tuple[dict, int]:
             args.r, args.d, args.m, args.q, e, budget=args.budget)
         stable = e >= monomials.stable_degree(args.d, args.m, args.q)
         target = formulas.projective_upper_bound(args.r, args.d, args.m, args.q) \
-            if stable else None
+            if stable and args.d < args.q else None
         matches = None if target is None else res.value == target
         report.update({
             "e": e,

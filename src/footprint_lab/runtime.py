@@ -46,10 +46,12 @@ def run_chunks(fn, chunk_args: list, workers: int) -> list:
     """Apply fn to each args tuple, in-process or via a fork pool.
 
     Results come back in submission order, so any merge that respects the
-    canonical enumeration index is independent of the worker count.
+    canonical enumeration index is independent of the worker count.  The
+    pool never has more processes than chunks or CPUs.
     """
-    if workers <= 1 or len(chunk_args) <= 1:
+    processes = min(workers, len(chunk_args), os.cpu_count() or 1)
+    if processes <= 1:
         return [fn(args) for args in chunk_args]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(chunk_args))) as pool:
+    with ctx.Pool(processes=processes) as pool:
         return pool.map(fn, chunk_args)

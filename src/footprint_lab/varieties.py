@@ -51,14 +51,21 @@ def count_common_zeros(polys, m: int, q: int) -> int:
     pts = projective_points(m, q)
     if not polys:
         return len(pts)
+    coeff, mons = _coefficient_matrix(polys)
+    values = linalg.matmul(field, coeff, linalg.eval_matrix(field, mons, pts))
+    return int((values == 0).all(axis=0).sum())
+
+
+def _coefficient_matrix(polys) -> tuple[np.ndarray, list]:
+    """Coefficients of polys (rows) on their joint monomial support
+    (columns, descending), and that support."""
     mons = sorted({mon for f in polys for mon, _ in f.terms}, reverse=True)
     coeff = np.zeros((len(polys), len(mons)), dtype=np.uint8)
     where = {mon: t for t, mon in enumerate(mons)}
     for i, f in enumerate(polys):
         for mon, c in f.terms:
             coeff[i, where[mon]] = c
-    values = linalg.matmul(field, coeff, linalg.eval_matrix(field, mons, pts))
-    return int((values == 0).all(axis=0).sum())
+    return coeff, mons
 
 
 @dataclass(frozen=True)
@@ -176,16 +183,6 @@ def _mul_linear(field: FieldSpec, g: dict, t: int, c_s: int) -> dict:
     return {mon: c for mon, c in out.items() if c}
 
 
-def _independent(field: FieldSpec, polys, m: int) -> bool:
-    mons = sorted({mon for f in polys for mon, _ in f.terms}, reverse=True)
-    coeff = np.zeros((len(polys), len(mons)), dtype=np.uint8)
-    where = {mon: t for t, mon in enumerate(mons)}
-    for i, f in enumerate(polys):
-        for mon, c in f.terms:
-            coeff[i, where[mon]] = c
-    return linalg.rank(field, coeff) == len(polys)
-
-
 def construct_witness(r: int, d: int, m: int, q: int, *,
                       budget: int | None = None) -> WitnessResult:
     """A rank-r family of degree-d forms attaining the predicted maximum.
@@ -194,9 +191,10 @@ def construct_witness(r: int, d: int, m: int, q: int, *,
     x_0..x_{m-a+1} divisible by x_{m-a+1}, a = 1..i; the remaining j
     members are products of distinct linear factors in the first m-i
     variables (one product per leading exponent tuple), homogenized with
-    x_{m-i}.  The result is validated by counting; if validation fails an
-    exhaustive fallback looks for any subspace attaining the prediction
-    and WitnessInvalid is raised when none exists.
+    x_{m-i}.  The result is validated by counting.  If validation fails,
+    the earliest maximizer of brute_force_max_points is returned with
+    method "search" and its true value, which may exceed the prediction;
+    WitnessInvalid is raised when that maximum falls short of it.
     """
     field = make_field(q)
     if not 1 <= d <= q:
@@ -220,31 +218,12 @@ def construct_witness(r: int, d: int, m: int, q: int, *,
             coeffs = {mon + (d - sum(mon),) + (0,) * (m - nv): c for mon, c in g.items()}
             polys.append(make_poly(m, d, coeffs))
     counted = count_common_zeros(polys, m, q)
-    if counted == predicted and _independent(field, polys, m):
+    if counted == predicted and linalg.rank(field, _coefficient_matrix(polys)[0]) == len(polys):
         return WitnessResult(value=counted, predicted=predicted,
                              polys=tuple(polys), method="construction")
-    found = _search_for_value(r, d, m, q, predicted, budget)
-    if found is None:
+    best = brute_force_max_points(r, d, m, q, budget=budget)
+    if best.value < predicted:
         raise WitnessInvalid(
             f"no rank-{r} family of degree-{d} forms on P^{m}(F_{q}) attains {predicted} zeros")
-    return WitnessResult(value=predicted, predicted=predicted, polys=found, method="search")
-
-
-def _search_for_value(r, d, m, q, target, budget):
-    field = make_field(q)
-    basis = monomials.reduced_monomials(m, q, d)
-    k = len(basis)
-    if r > k:
-        return None
-    pts = projective_points(m, q)
-    runtime.charge_budget(formulas.gaussian_binomial(k, r, q) * len(pts), budget,
-                          "witness fallback scan")
-    mat = linalg.eval_matrix(field, basis, pts)
-    for pivots in linalg.pivot_patterns(k, r):
-        for _, block in linalg.rref_batches(q, k, pivots):
-            counts = linalg.zero_column_counts(field, block, mat)
-            hits = np.nonzero(counts == target)[0]
-            if hits.size:
-                row_block = block[int(hits[0])]
-                return tuple(_row_poly(m, d, basis, row) for row in row_block)
-    return None
+    return WitnessResult(value=best.value, predicted=predicted, polys=best.witness,
+                         method="search")

@@ -91,6 +91,18 @@ def test_search_footprint(capsys):
     assert data["matches_formula"] is None
 
 
+def test_search_footprint_degree_at_least_q(capsys):
+    # K_r is the footprint ceiling only for d < q; at d >= q it is not a
+    # prediction, so the scan has nothing to match (here 12 exceeds K_2 = 10)
+    code, out, _ = run_cli(capsys, "search", "footprint", "--q", "2", "--d", "2",
+                           "--m", "3", "--r", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 12
+    assert data["formula"]["known"] is None
+    assert data["matches_formula"] is None
+
+
 def test_search_ghw(capsys):
     code, out, _ = run_cli(capsys, "search", "ghw", "--q", "3", "--d", "2",
                            "--m", "1", "--r", "1")
@@ -158,10 +170,31 @@ def test_verify_grid_flags(capsys):
     assert json.loads(out)["passed"] is True
 
 
-def test_verify_unknown_suite_exits_2():
+@pytest.mark.parametrize("suites", ["nonsense", "wei,nonsense"])
+def test_verify_unknown_suite_exits_2(capsys, suites):
     with pytest.raises(SystemExit) as info:
-        cli.main(["verify", "--suite", "nonsense"])
+        cli.main(["verify", "--suite", suites])
     assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "'nonsense'" in err and "macaulay" in err
+
+
+def test_verify_suite_list(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "wei,macaulay")
+    assert code == 0
+    assert [s["suite"] for s in json.loads(out)["suites"]] == ["wei", "macaulay"]
+
+
+@pytest.mark.parametrize("command", [
+    ["search", "er", "--q", "3", "--d", "2", "--m", "2", "--r", "1"],
+    ["verify", "--suite", "wei"],
+])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_exit_2(capsys, command, workers):
+    with pytest.raises(SystemExit) as info:
+        cli.main(command + ["--workers", workers])
+    assert info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_verify_pretty_and_csv(capsys):

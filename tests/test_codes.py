@@ -8,6 +8,7 @@ from footprint_lab.errors import (AmbientMismatch, DependentBasis,
 from footprint_lab import codes as co
 from footprint_lab import formulas as fo
 from footprint_lab import monomials as mo
+from footprint_lab import varieties as va
 
 
 def test_build_prm_shapes():
@@ -114,6 +115,10 @@ def test_check_duality():
         rows = co.check_duality(d, m, q)
         assert all(row["holds"] for row in rows)
         assert [row["r"] for row in rows] == list(range(1, len(rows) + 1))
+    # the witness recount agrees with the independent er scan at every rank
+    rows = co.check_duality(2, 2, 3)
+    assert [row["max_zeros"] for row in rows] == [
+        va.brute_force_max_points(r, 2, 2, 3).value for r in range(1, len(rows) + 1)]
 
 
 def test_export_csv():

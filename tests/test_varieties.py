@@ -3,7 +3,7 @@
 import pytest
 
 from footprint_lab.errors import (AmbientMismatch, BudgetExceeded,
-                                  IndexOutOfRange, OutOfRange)
+                                  IndexOutOfRange, OutOfRange, WitnessInvalid)
 from footprint_lab import formulas as fo
 from footprint_lab import varieties as va
 from footprint_lab.polys import make_poly, monomial_poly
@@ -135,6 +135,37 @@ def test_construct_witness_degenerate_ranks():
         va.construct_witness(0, 2, 2, 3)
     with pytest.raises(OutOfRange):
         va.construct_witness(1, 4, 2, 3)  # d > q has no construction
+
+
+def _fail_construction(monkeypatch):
+    """Make the construction's own recount miss its prediction, so
+    construct_witness falls back to the exhaustive scan."""
+    recount = va.count_common_zeros
+    monkeypatch.setattr(va, "count_common_zeros", lambda *args: -1)
+    return recount
+
+
+def test_construct_witness_search_fallback(monkeypatch):
+    recount = _fail_construction(monkeypatch)
+    for r in (1, 2, 4):
+        res = va.construct_witness(r, 2, 2, 3)
+        best = va.brute_force_max_points(r, 2, 2, 3)
+        assert res.method == "search"
+        assert res.value == res.predicted == best.value
+        assert res.polys == best.witness
+        assert recount(res.polys, 2, 3) == res.value
+
+
+def test_construct_witness_fallback_against_prediction(monkeypatch):
+    _fail_construction(monkeypatch)
+    best = va.brute_force_max_points(2, 2, 2, 3).value
+    monkeypatch.setattr(fo, "conjectured_max_points", lambda *args: (best + 1, "proven"))
+    with pytest.raises(WitnessInvalid):
+        va.construct_witness(2, 2, 2, 3)
+    # a maximum above the prediction is reported as found
+    monkeypatch.setattr(fo, "conjectured_max_points", lambda *args: (best - 1, "proven"))
+    res = va.construct_witness(2, 2, 2, 3)
+    assert (res.method, res.value, res.predicted) == ("search", best, best - 1)
 
 
 def test_search_result_shape():
