@@ -170,13 +170,20 @@ def test_verify_grid_flags(capsys):
     assert json.loads(out)["passed"] is True
 
 
-@pytest.mark.parametrize("suites", ["nonsense", "wei,nonsense"])
-def test_verify_unknown_suite_exits_2(capsys, suites):
+def assert_unknown_suite_exits_2(capsys, suites):
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--suite", suites])
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "'nonsense'" in err and "macaulay" in err
+
+
+def test_verify_unknown_suite_exits_2(capsys):
+    assert_unknown_suite_exits_2(capsys, "nonsense")
+
+
+def test_verify_unknown_suite_in_list_exits_2(capsys):
+    assert_unknown_suite_exits_2(capsys, "wei,nonsense")
 
 
 def test_verify_suite_list(capsys):
