@@ -1,19 +1,31 @@
-"""Vectorized linear algebra over F_q via the field's lookup tables.
+"""Vectorized linear algebra over F_q.
 
 Matrices are numpy uint8 arrays of element encodings.  The subspace
 enumeration walks reduced row echelon forms: pivot column sets in
 lexicographic order, free entries in odometer order (last position
 fastest), which fixes a canonical global index for every subspace.
+
+Within one pivot pattern the rows of an RREF matrix vary independently,
+so rref_batches lays the pattern out as a grid with one axis per row (row
+i varies along axis i only).  The scan kernel multiplies each row's values
+by the evaluation matrix once per block instead of once per subspace,
+packs the zero columns into uint64 masks and intersects the rows' masks
+with a broadcast AND, so a subspace costs about ceil(n/64) word operations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .gf import FieldSpec, make_field
 from .runtime import run_chunks, split_chunks
+
+# Most matrices in one rref_batches block; their packed masks are the
+# kernel's largest intermediate.
+BLOCK_CAP = 2**14
 
 
 def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -99,29 +111,92 @@ def pattern_size(pivots: tuple[int, ...], k: int, q: int) -> int:
     return q ** len(free_positions(pivots, k)[0])
 
 
-def rref_batches(q: int, k: int, pivots: tuple[int, ...], cap: int = 4096):
+def _row_values(q: int, k: int, pivot: int, cols: list[int], idx: np.ndarray) -> np.ndarray:
+    """One RREF row per odometer index in idx: 1 at the pivot, the index's
+    base-q digits at the free columns cols (last column fastest)."""
+    out = np.zeros((len(idx), k), dtype=np.uint8)
+    out[:, pivot] = 1
+    if cols:
+        weights = q ** np.arange(len(cols) - 1, -1, -1, dtype=np.int64)
+        out[:, cols] = (idx[:, None] // weights) % q
+    return out
+
+
+def rref_batches(q: int, k: int, pivots: tuple[int, ...], cap: int = BLOCK_CAP):
     """Yield (offset, block) pairs covering every RREF matrix with the
-    given pivot columns; block has shape (fill count, r, k)."""
-    rows, cols = free_positions(pivots, k)
-    nf = len(rows)
-    total = q**nf
-    base = np.zeros((len(pivots), k), dtype=np.uint8)
-    for i, p in enumerate(pivots):
-        base[i, p] = 1
-    weights = q ** np.arange(nf - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, cap):
-        idx = np.arange(start, min(start + cap, total), dtype=np.int64)
-        block = np.repeat(base[None, :, :], len(idx), axis=0)
-        if nf:
-            block[:, rows, cols] = ((idx[:, None] // weights[None, :]) % q).astype(np.uint8)
-        yield start, block
+    given pivot columns.
+
+    Row i has f_i free entries and takes n_i = q**f_i values, whatever the
+    other rows hold, so the matrices form a grid: a block has shape
+    (n_0, ..., n_{r-1}, r, k) (or a slice of it), with row i varying along
+    axis i only.  The block's C order is the canonical order, so offset
+    plus a matrix's flat index in the block is its index in the pattern.
+    Axes are split from the left so that no block holds more than cap
+    matrices: the axes after the split axis are whole, the split axis is
+    cut into slices, and the axes before it take one value per block.
+    """
+    r = len(pivots)
+    free = [[c for c in range(p + 1, k) if c not in pivots] for p in pivots]
+    sizes = [q ** len(f) for f in free]
+    tails = [math.prod(sizes[i:]) for i in range(r + 1)]  # tails[i + 1]: step of axis i
+    split = next(i for i in range(r + 1) if tails[i] <= cap)
+    whole = [(0, n) for n in sizes[split:]]
+    if split == 0:
+        spans = [whole]
+    else:
+        n, step = sizes[split - 1], cap // tails[split]
+        spans = ([*((h, h + 1) for h in head), (lo, min(lo + step, n)), *whole]
+                 for head in itertools.product(*map(range, sizes[:split - 1]))
+                 for lo in range(0, n, step))
+    for span in spans:
+        block = np.empty(tuple(hi - lo for lo, hi in span) + (r, k), dtype=np.uint8)
+        for i, (lo, hi) in enumerate(span):
+            values = _row_values(q, k, pivots[i], free[i], np.arange(lo, hi))
+            block[..., i, :] = values.reshape((1,) * i + (hi - lo,) + (1,) * (r - 1 - i) + (k,))
+        yield sum(lo * tails[i + 1] for i, (lo, _) in enumerate(span)), block
+
+
+def _constant_axes_cut(x: np.ndarray) -> np.ndarray:
+    """x with every leading axis along which it does not vary cut to length 1."""
+    for axis in range(x.ndim - 1):
+        # one line along the axis first: it is short, and varies if the axis does
+        line = x[(0,) * axis + (slice(None),) + (0,) * (x.ndim - 2 - axis)]
+        if len(line) == 1 or (line != line[0]).any():
+            continue
+        first = x[(slice(None),) * axis + (slice(0, 1),)]
+        if (x == first).all():
+            x = first
+    return x
+
+
+def _zero_words(values: np.ndarray) -> np.ndarray:
+    """The zero columns of values (..., n) as bit masks (..., ceil(n/64)) of uint64."""
+    packed = np.packbits(values == 0, axis=-1, bitorder="little")
+    nbytes = packed.shape[-1]
+    words = np.zeros(packed.shape[:-1] + (nbytes + -nbytes % 8,), dtype=np.uint8)
+    words[..., :nbytes] = packed
+    return words.view(np.uint64)
 
 
 def zero_column_counts(field: FieldSpec, blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """For each (r, k) slice of blocks, the number of columns of
-    slice @ mat that vanish identically."""
-    prod = matmul(field, blocks, mat)  # (..., r, n)
-    return (prod == 0).all(axis=-2).sum(axis=-1)
+    slice @ mat that vanish identically.
+
+    Each row position is multiplied by mat only along the leading axes on
+    which it varies (axis i for row i of an rref_batches block), its zero
+    columns are packed into uint64 masks, and the rows' masks are
+    intersected with a broadcast AND and popcounted.
+    """
+    blocks = np.asarray(blocks, dtype=np.uint8)
+    lead = blocks.shape[:-2]
+    words = None
+    for i in range(blocks.shape[-2]):
+        zeros = _zero_words(matmul(field, _constant_axes_cut(blocks[..., i, :]), mat))
+        words = zeros if words is None else words & zeros
+    if words is None:
+        return np.full(lead, mat.shape[1], dtype=np.int64)
+    counts = np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    return np.broadcast_to(counts, lead).copy()
 
 
 def _zero_scan_chunk(args):
@@ -133,14 +208,14 @@ def _zero_scan_chunk(args):
     for pos, pivots in enumerate(combos):
         limit = None if bounds is None else bounds[pos]
         for off, block in rref_batches(q, k, pivots):
-            counts = zero_column_counts(field, block, mat)
+            counts = zero_column_counts(field, block, mat).ravel()
             enumerated += counts.size
             arg = int(np.argmax(counts))
             count = int(counts[arg])
             if count > best_count:
                 best_count = count
                 best_gidx = offsets[pos] + off + arg
-                best_rref = block[arg].copy()
+                best_rref = block.reshape(-1, *block.shape[-2:])[arg].copy()
             if limit is not None:
                 for oi in np.nonzero(counts > limit)[0]:
                     violations.append((combo_ids[pos], offsets[pos] + off + int(oi),

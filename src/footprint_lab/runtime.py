@@ -43,15 +43,18 @@ def split_chunks(items: list, workers: int) -> list[list]:
 
 
 def run_chunks(fn, chunk_args: list, workers: int) -> list:
-    """Apply fn to each args tuple, in-process or via a fork pool.
+    """Apply fn to each args tuple, in-process or via a process pool.
 
     Results come back in submission order, so any merge that respects the
     canonical enumeration index is independent of the worker count.  The
-    pool never has more processes than chunks or CPUs.
+    pool never has more processes than chunks or CPUs.  Workers are forked
+    where the platform offers fork and spawned otherwise, so fn must be a
+    module-level function and its arguments picklable.
     """
     processes = min(workers, len(chunk_args), os.cpu_count() or 1)
     if processes <= 1:
         return [fn(args) for args in chunk_args]
-    ctx = multiprocessing.get_context("fork")
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    ctx = multiprocessing.get_context(method)
     with ctx.Pool(processes=processes) as pool:
         return pool.map(fn, chunk_args)

@@ -1,0 +1,113 @@
+"""The grid-block RREF walk and the packed-mask kernel, against naive
+references: the table-lookup product and an itertools odometer."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from footprint_lab import linalg
+from footprint_lab.gf import make_field
+
+
+def _reference_counts(field, blocks, mat):
+    return (linalg.matmul(field, blocks, mat) == 0).all(axis=-2).sum(axis=-1)
+
+
+def _sparse_matrix(rng, q, k, n):
+    """Random k x n matrix with mostly zero entries, so that zero columns
+    of products are common."""
+    mat = rng.integers(0, q, size=(k, n), dtype=np.uint8)
+    mat[rng.random((k, n)) < 0.6] = 0
+    return mat
+
+
+def _naive_rrefs(q, k, pivots):
+    """Every RREF matrix with the given pivots, free entries in odometer
+    order (row by row, last position fastest)."""
+    rows, cols = linalg.free_positions(pivots, k)
+    for values in itertools.product(range(q), repeat=len(rows)):
+        mat = np.zeros((len(pivots), k), dtype=np.uint8)
+        for i, p in enumerate(pivots):
+            mat[i, p] = 1
+        mat[rows, cols] = values
+        yield mat
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_kernel_matches_table_product(q, n):
+    field = make_field(q)
+    rng = np.random.default_rng(q * 1000 + n)
+    k = 4
+    mat = _sparse_matrix(rng, q, k, n)
+    for r in (1, 2, 3):
+        blocks = rng.integers(0, q, size=(200, r, k), dtype=np.uint8)
+        blocks[rng.random(blocks.shape) < 0.5] = 0
+        got = linalg.zero_column_counts(field, blocks, mat)
+        assert got.shape == (200,)
+        assert np.array_equal(got, _reference_counts(field, blocks, mat))
+    for pivots in ((0, 2), (0, 1, 3), (0,)):
+        for _, block in linalg.rref_batches(q, k, pivots, cap=60):
+            got = linalg.zero_column_counts(field, block, mat)
+            assert got.shape == block.shape[:-2]
+            assert np.array_equal(got, _reference_counts(field, block, mat))
+
+
+@pytest.mark.parametrize("q, k, pivots, cap", [
+    (3, 5, (0, 1), 2**14),     # one block holds the whole grid
+    (3, 5, (0, 1), 10),        # rows 27 x 27: the second axis splits
+    (2, 6, (0, 2, 3), 5),      # rows 8 x 4 x 4: lower product 16 exceeds the cap
+    (2, 6, (0, 1, 2), 3),      # rows 8 x 8 x 8: the last axis alone exceeds the cap
+    (4, 4, (1, 3), 3),         # rows 4 x 1: the first axis splits
+    (5, 3, (0, 1, 2), 4),      # no free entries: a single matrix
+])
+def test_rref_batches_follow_the_odometer(q, k, pivots, cap):
+    expected = list(_naive_rrefs(q, k, pivots))
+    assert len(expected) == linalg.pattern_size(pivots, k, q)
+    seen = 0
+    for offset, block in linalg.rref_batches(q, k, pivots, cap=cap):
+        assert block.ndim == len(pivots) + 2
+        flat = block.reshape(-1, len(pivots), k)
+        assert 1 <= len(flat) <= cap
+        assert offset == seen
+        for mat in flat:
+            assert np.array_equal(mat, expected[seen])
+            seen += 1
+    assert seen == len(expected)
+
+
+def _naive_scan(q, mat, r, bounds):
+    field = make_field(q)
+    k = mat.shape[0]
+    best, witness, gidx, violations = -1, None, 0, []
+    for ci, pivots in enumerate(linalg.pivot_patterns(k, r)):
+        rrefs = np.array(list(_naive_rrefs(q, k, pivots)))
+        for rref, count in zip(rrefs, _reference_counts(field, rrefs, mat)):
+            if count > best:
+                best, witness = int(count), rref
+            if bounds is not None and count > bounds[ci]:
+                violations.append((ci, gidx, int(count), bounds[ci]))
+            gidx += 1
+    return best, witness, gidx, violations
+
+
+@pytest.mark.parametrize("q, k, r, n", [
+    (3, 6, 3, 13),   # the (0, 1, 2) pattern holds 3**9 > BLOCK_CAP matrices
+    (4, 4, 2, 21),
+    (2, 7, 2, 70),
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_matches_naive_enumeration(q, k, r, n, workers):
+    rng = np.random.default_rng(q * 100 + k * 10 + r)
+    mat = _sparse_matrix(rng, q, k, n)
+    patterns = linalg.pivot_patterns(k, r)
+    bounds = [int(b) for b in rng.integers(n // 3, n + 1, size=len(patterns))]
+    count, witness, enumerated, violations = linalg.scan_max_zero_columns(
+        q, mat, r, workers, bounds)
+    best, naive_witness, total, naive_violations = _naive_scan(q, mat, r, bounds)
+    assert count == best
+    assert np.array_equal(witness, naive_witness)
+    assert enumerated == total
+    assert violations == naive_violations
+    assert naive_violations  # the bounds are tight enough to be crossed
