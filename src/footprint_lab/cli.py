@@ -13,34 +13,41 @@ field; the worker count never changes the payload.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 
 from . import codes, formulas, monomials, varieties
-from .errors import BudgetExceeded, WitnessInvalid
-from .verify import SUITES, VerifyConfig, run_suites
+from .errors import BudgetExceeded, CapExceeded, NotPrimePower, WitnessInvalid
+from .gf import make_field
+from .verify import VerifyConfig, resolve_suites, run_suites
 
 _FORMATS = ("json", "csv", "pretty")
 
 
-def _parse_q_list(text: str) -> tuple[int, ...]:
+def _field_size(text: str) -> int:
+    """A field size the package supports: a prime power up to the cap."""
     try:
-        qs = tuple(int(part) for part in text.split(","))
+        q = int(text)
     except ValueError:
-        raise ValueError(f"--q wants a comma-separated integer list, got {text!r}")
-    if not qs or any(q < 2 for q in qs):
-        raise ValueError(f"--q entries must be >= 2, got {text!r}")
-    return qs
+        raise argparse.ArgumentTypeError(f"field size {text!r} is not an integer") from None
+    try:
+        make_field(q)
+    except (NotPrimePower, CapExceeded) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return q
 
 
-def _parse_suites(text: str) -> list[str]:
-    names = text.split(",")
-    for name in names:
-        if name != "all" and name not in SUITES:
-            raise argparse.ArgumentTypeError(
-                f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-    return names
+def _field_sizes(text: str) -> tuple[int, ...]:
+    return tuple(_field_size(part) for part in text.split(","))
+
+
+def _suites(text: str) -> list[str]:
+    try:
+        return resolve_suites(text.split(","))
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
 def _positive_int(text: str) -> int:
@@ -57,14 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tab = sub.add_parser("tables", help="per-rank bound table for one (q, d, m)")
-    tab.add_argument("--q", type=int, required=True)
+    tab.add_argument("--q", type=_field_size, required=True)
     tab.add_argument("--d", type=int, required=True)
     tab.add_argument("--m", type=int, required=True)
     _output_flags(tab)
 
     sea = sub.add_parser("search", help="one exhaustive computation vs. its formula")
     sea.add_argument("kind", choices=("er", "affine", "footprint", "ghw"))
-    sea.add_argument("--q", type=int, required=True)
+    sea.add_argument("--q", type=_field_size, required=True)
     sea.add_argument("--d", type=int, required=True)
     sea.add_argument("--m", type=int, required=True)
     sea.add_argument("--r", type=int, required=True)
@@ -77,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(sea)
 
     ver = sub.add_parser("verify", help="run named verification suites")
-    ver.add_argument("--suite", type=_parse_suites, default="all",
+    ver.add_argument("--suite", type=_suites, default="all",
                      help="comma-separated suite names, or all")
-    ver.add_argument("--q", type=_parse_q_list, default=None,
+    ver.add_argument("--q", type=_field_sizes, default=None,
                      help="comma-separated field sizes, e.g. 2,3")
     ver.add_argument("--m-max", type=int, default=None)
     ver.add_argument("--d-max", type=int, default=None)
@@ -211,10 +218,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
             "suite": rep.suite,
             "passed": rep.passed,
             "cases": rep.cases,
-            "checks": [{
-                "name": c.name, "passed": c.passed, "cases": c.cases,
-                "counterexample": c.counterexample, "note": c.note,
-            } for c in rep.checks],
+            "checks": [dataclasses.asdict(c) for c in rep.checks],
         })
     passed = all(s["passed"] for s in suites)
     report = {"schema": 1, "command": "verify", "passed": passed, "suites": suites,

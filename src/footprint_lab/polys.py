@@ -14,15 +14,30 @@ from .gf import FieldSpec
 from .monomials import Monomial, format_monomial, parse_monomial, reduce_monomial
 
 
-@dataclass(frozen=True)
-class HomogeneousPolynomial:
-    m: int
-    deg: int
-    terms: tuple[tuple[Monomial, int], ...]
+class _SparseTerms:
+    """Behaviour shared by the polynomial classes, which store their
+    normalized (monomial, coefficient) pairs in a `terms` field."""
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def to_json(self) -> list:
+        return [{"monomial": format_monomial(mon), "coeff": c} for mon, c in self.terms]
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        return " + ".join(f"{c}*{format_monomial(mon)}" if c != 1 or sum(mon) == 0
+                          else format_monomial(mon)
+                          for mon, c in self.terms)
+
+
+@dataclass(frozen=True)
+class HomogeneousPolynomial(_SparseTerms):
+    m: int
+    deg: int
+    terms: tuple[tuple[Monomial, int], ...]
 
     def leading_monomial(self) -> Monomial:
         """Largest monomial in descending lex; undefined on the zero polynomial."""
@@ -36,37 +51,13 @@ class HomogeneousPolynomial:
                 return c
         return 0
 
-    def to_json(self) -> list:
-        return [{"monomial": format_monomial(mon), "coeff": c} for mon, c in self.terms]
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"{c}*{format_monomial(mon)}" if c != 1 or sum(mon) == 0
-                          else format_monomial(mon)
-                          for mon, c in self.terms)
-
 
 @dataclass(frozen=True)
-class AffinePolynomial:
+class AffinePolynomial(_SparseTerms):
     """Sparse polynomial in nvars variables x_0..x_{nvars-1}, any degrees."""
 
     nvars: int
     terms: tuple[tuple[Monomial, int], ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def to_json(self) -> list:
-        return [{"monomial": format_monomial(mon), "coeff": c} for mon, c in self.terms]
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"{c}*{format_monomial(mon)}" if c != 1 or sum(mon) == 0
-                          else format_monomial(mon)
-                          for mon, c in self.terms)
 
 
 def make_affine_poly(nvars: int, coeffs: dict[Monomial, int]) -> AffinePolynomial:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from . import codes, formulas, monomials, varieties
+from . import codes, formulas, linalg, monomials, varieties
 from .gf import make_field
 from .monomials import format_monomial
 from .polys import make_poly, reduce_polynomial
@@ -21,10 +21,17 @@ from .polys import make_poly, reduce_polynomial
 @dataclass
 class Check:
     name: str
-    passed: bool
-    cases: int
+    passed: bool = True
+    cases: int = 0
     counterexample: dict | None = None
     note: str | None = None
+
+    def case(self, ok: bool, counterexample=None, cases: int = 1) -> None:
+        """Count cases; the first failing case's counterexample is kept."""
+        self.cases += cases
+        if not ok and self.passed:
+            self.passed = False
+            self.counterexample = counterexample
 
 
 @dataclass
@@ -40,8 +47,10 @@ class SuiteReport:
     def cases(self) -> int:
         return sum(c.cases for c in self.checks)
 
-    def add(self, name: str, passed: bool, cases: int, counterexample=None, note=None):
-        self.checks.append(Check(name, passed, cases, counterexample, note))
+    def check(self, name: str) -> Check:
+        """Append an empty check; the suite feeds it with Check.case."""
+        self.checks.append(Check(name))
+        return self.checks[-1]
 
 
 @dataclass
@@ -61,6 +70,9 @@ class VerifyConfig:
                 self.m_max if self.m_max is not None else default_m,
                 self.d_max if self.d_max is not None else default_d)
 
+    def hypercube_level(self) -> int:
+        return self.level if (self.level is not None and not self.quick) else 2
+
 
 def _subsets(pool):
     pool = list(pool)
@@ -76,55 +88,41 @@ def suite_reduction(cfg: VerifyConfig) -> SuiteReport:
     """Projective reduction: idempotence, degree and evaluation invariance."""
     rep = SuiteReport("reduction")
     qs, m_max, d_max = cfg.grid((2, 3, 4), 2, 6)
-    struct_cases = eval_cases = 0
-    struct_bad = eval_bad = None
+    struct = rep.check("reduced form is degree-preserving idempotent normal form")
+    evals = rep.check("reduction preserves evaluation on the full affine cube")
     for q in qs:
         field_q = make_field(q)
         for m in range(m_max + 1):
             cube = list(itertools.product(range(q), repeat=m + 1))
             for d in range(d_max + 1):
-                for mon in monomials.all_monomials(m, d):
-                    red = monomials.reduce_monomial(mon, q)
-                    struct_cases += 1
+                mons = monomials.all_monomials(m, d)
+                reds = [monomials.reduce_monomial(mon, q) for mon in mons]
+                # eval_matrix evaluates each monomial as written, so it is
+                # independent of the reduction under test
+                same = (linalg.eval_matrix(field_q, mons, cube)
+                        == linalg.eval_matrix(field_q, reds, cube)).all(axis=1)
+                for mon, red, row_same in zip(mons, reds, same):
+                    bad = {"q": q, "monomial": format_monomial(mon),
+                           "reduced": format_monomial(red)}
                     ok = (sum(red) == d
                           and monomials.is_reduced(red, q)
                           and monomials.reduce_monomial(red, q) == red)
                     # a reduced monomial must be a fixed point
                     if monomials.is_reduced(mon, q):
                         ok = ok and red == mon
-                    if not ok and struct_bad is None:
-                        struct_bad = {"q": q, "monomial": format_monomial(mon),
-                                      "reduced": format_monomial(red)}
-                    eval_cases += 1
-                    same = all(
-                        _eval_mon(field_q, mon, pt) == _eval_mon(field_q, red, pt)
-                        for pt in cube)
-                    if not same and eval_bad is None:
-                        eval_bad = {"q": q, "monomial": format_monomial(mon),
-                                    "reduced": format_monomial(red)}
-    rep.add("reduced form is degree-preserving idempotent normal form",
-            struct_bad is None, struct_cases, struct_bad)
-    rep.add("reduction preserves evaluation on the full affine cube",
-            eval_bad is None, eval_cases, eval_bad)
+                    struct.case(ok, bad)
+                    evals.case(row_same, bad)
 
     # coefficient aggregation may cancel terms entirely
     f2 = make_field(2)
     poly = make_poly(1, 3, {(2, 1): 1, (1, 2): 1})
-    rep.add("colliding reductions aggregate in the field (x0^2*x1 + x0*x1^2 over F_2 dies)",
-            reduce_polynomial(poly, f2).is_zero, 1)
+    rep.check("colliding reductions aggregate in the field (x0^2*x1 + x0*x1^2 over F_2 dies)"
+              ).case(reduce_polynomial(poly, f2).is_zero)
     f3 = make_field(3)
     poly3 = make_poly(1, 4, {(3, 1): 1, (1, 3): 2})
-    rep.add("aggregated coefficient 1+2 vanishes over F_3",
-            reduce_polynomial(poly3, f3).is_zero, 1)
+    rep.check("aggregated coefficient 1+2 vanishes over F_3"
+              ).case(reduce_polynomial(poly3, f3).is_zero)
     return rep
-
-
-def _eval_mon(field_q, mon, pt) -> int:
-    v = 1
-    for x, a in zip(pt, mon):
-        if a:
-            v = field_q.mul(v, field_q.pow(x, a))
-    return v
 
 
 def suite_footprint_decomposition(cfg: VerifyConfig) -> SuiteReport:
@@ -132,8 +130,9 @@ def suite_footprint_decomposition(cfg: VerifyConfig) -> SuiteReport:
     level-restricted generators; sizes stabilize past the stable degree."""
     rep = SuiteReport("footprint-decomposition")
     qs, m_max, d_max = cfg.grid((3,), 2, 2)
-    part_cases = slice_cases = stab_cases = 0
-    part_bad = slice_bad = stab_bad = None
+    part = rep.check("footprint is the disjoint union of its level slices")
+    sliced = rep.check("level slice depends only on the level-restricted generators")
+    stab = rep.check("footprint size is constant from the stable degree on")
     for q in qs:
         m = m_max
         # degree-0 generated sets are only {} and {1}; the stable degree
@@ -145,27 +144,17 @@ def suite_footprint_decomposition(cfg: VerifyConfig) -> SuiteReport:
                 for e in (estar, estar + 1, estar + 2):
                     whole = monomials.footprint(sset, e, q, m)
                     slices = [monomials.footprint(sset, e, q, m, lv) for lv in range(m + 1)]
-                    part_cases += 1
                     flat = [mu for sl in slices for mu in sl]
-                    if not (sorted(flat) == sorted(whole) and len(flat) == len(whole)):
-                        part_bad = part_bad or {"q": q, "d": d, "e": e, "set": _names(sset)}
+                    part.case(sorted(flat) == sorted(whole) and len(flat) == len(whole),
+                              {"q": q, "d": d, "e": e, "set": _names(sset)})
                     for lv in range(m + 1):
-                        slice_cases += 1
                         restr = monomials.restrict_level(sset, lv, q)
-                        if monomials.footprint(restr, e, q, m, lv) != slices[lv]:
-                            slice_bad = slice_bad or {"q": q, "d": d, "e": e, "level": lv,
-                                                      "set": _names(sset)}
+                        sliced.case(monomials.footprint(restr, e, q, m, lv) == slices[lv],
+                                    {"q": q, "d": d, "e": e, "level": lv,
+                                     "set": _names(sset)})
                     sizes.append(len(whole))
-                stab_cases += 1
-                if len(set(sizes)) != 1:
-                    stab_bad = stab_bad or {"q": q, "d": d, "set": _names(sset),
-                                            "sizes": sizes}
-    rep.add("footprint is the disjoint union of its level slices",
-            part_bad is None, part_cases, part_bad)
-    rep.add("level slice depends only on the level-restricted generators",
-            slice_bad is None, slice_cases, slice_bad)
-    rep.add("footprint size is constant from the stable degree on",
-            stab_bad is None, stab_cases, stab_bad)
+                stab.case(len(set(sizes)) == 1,
+                          {"q": q, "d": d, "set": _names(sset), "sizes": sizes})
     return rep
 
 
@@ -173,8 +162,10 @@ def suite_specialization(cfg: VerifyConfig) -> SuiteReport:
     """Dropping the level variable preserves divisibility and footprints."""
     rep = SuiteReport("specialization")
     qs, m_max, d_max = cfg.grid((3,), 2, 3)
-    div_cases = 0
-    div_bad = None
+    div = rep.check("divisibility into the top slice transfers through specialization")
+    fp = rep.check("stable level-slice size equals the hypercube footprint of the specialized set")
+    bij = rep.check(
+        "below q the specialization is a lex-preserving bijection onto the bounded cube")
     for q in qs:
         m = m_max
         for d in range(1, d_max + 1):
@@ -186,44 +177,28 @@ def suite_specialization(cfg: VerifyConfig) -> SuiteReport:
                 for mu in mus:
                     smu = mu[:lv]
                     for nu in tops:
-                        div_cases += 1
-                        if monomials.divides(mu, nu) != monomials.divides(smu, nu[:lv]):
-                            div_bad = div_bad or {
-                                "q": q, "d": d, "e": e, "level": lv,
-                                "mu": format_monomial(mu), "nu": format_monomial(nu)}
-    rep.add("divisibility into the top slice transfers through specialization",
-            div_bad is None, div_cases, div_bad)
+                        div.case(monomials.divides(mu, nu) == monomials.divides(smu, nu[:lv]),
+                                 {"q": q, "d": d, "e": e, "level": lv,
+                                  "mu": format_monomial(mu), "nu": format_monomial(nu)})
 
-    fp_cases = 0
-    fp_bad = None
     for q in qs:
         m = m_max
         d = min(2, d_max)
         e = monomials.stable_degree(d, m, q)
         for sset in _subsets(monomials.reduced_monomials(m, q, d)):
             for lv in range(m + 1):
-                fp_cases += 1
                 restr = monomials.restrict_level(sset, lv, q)
                 lhs = len(monomials.footprint(restr, e, q, m, lv))
                 rhs = len(monomials.hypercube_footprint(monomials.specialize(restr, lv), lv, q))
-                if lhs != rhs:
-                    fp_bad = fp_bad or {"q": q, "d": d, "e": e, "level": lv,
-                                        "set": _names(sset), "slice": lhs, "affine": rhs}
-    rep.add("stable level-slice size equals the hypercube footprint of the specialized set",
-            fp_bad is None, fp_cases, fp_bad)
+                fp.case(lhs == rhs, {"q": q, "d": d, "e": e, "level": lv,
+                                     "set": _names(sset), "slice": lhs, "affine": rhs})
 
-    bij_cases = 0
-    bij_bad = None
     for q in (3, 4):
         for m in range(1, 3):
             for d in range(1, q):
-                bij_cases += 1
                 image = [mu[:m] for mu in monomials.reduced_monomials(m, q, d)]
                 target = [list(t) for t in monomials.hypercube_slice(m, q, d, "at_most")]
-                if [list(t) for t in image] != target:
-                    bij_bad = bij_bad or {"q": q, "m": m, "d": d}
-    rep.add("below q the specialization is a lex-preserving bijection onto the bounded cube",
-            bij_bad is None, bij_cases, bij_bad)
+                bij.case([list(t) for t in image] == target, {"q": q, "m": m, "d": d})
     return rep
 
 
@@ -235,48 +210,32 @@ def suite_expander(cfg: VerifyConfig) -> SuiteReport:
     m = m_max
     d = d_max
     estar = monomials.stable_degree(d, m, q)
-    inj_cases = grow_cases = top_cases = next_cases = low_cases = 0
-    inj_bad = grow_bad = top_bad = next_bad = None
-    below_hits = []
+    inj = rep.check("expander is injective, reduced and degree-preserving")
+    grow = rep.check("stable footprint never shrinks under the expander")
+    top = rep.check("top level slice only gains footprint at stable degrees")
+    nxt = rep.check("next-to-top slice only loses footprint (all degrees)")
+    low = rep.check("sub-stable degrees scanned for contrast")
+    drops = 0
     for sset in _subsets(monomials.reduced_monomials(m, q, d)):
         image = monomials.expand(sset, q)
-        inj_cases += 1
-        ok = (len(image) == len(sset)
-              and all(monomials.is_reduced(mu, q) for mu in image)
-              and sorted(map(sum, image)) == sorted(map(sum, sset)))
-        if not ok:
-            inj_bad = inj_bad or {"set": _names(sset), "image": _names(image)}
+        inj.case(len(image) == len(sset)
+                 and all(monomials.is_reduced(mu, q) for mu in image)
+                 and sorted(map(sum, image)) == sorted(map(sum, sset)),
+                 {"set": _names(sset), "image": _names(image)})
         for e in (estar, estar + 1, estar + 2):
-            grow_cases += 1
             before = monomials.footprint(sset, e, q, m)
             after = monomials.footprint(image, e, q, m)
-            if len(before) > len(after):
-                grow_bad = grow_bad or {"e": e, "set": _names(sset),
-                                        "before": len(before), "after": len(after)}
-            top_cases += 1
-            if not set(monomials.footprint(sset, e, q, m, m)) <= set(
-                    monomials.footprint(image, e, q, m, m)):
-                top_bad = top_bad or {"e": e, "set": _names(sset)}
-            next_cases += 1
-            if not set(monomials.footprint(image, e, q, m, m - 1)) <= set(
-                    monomials.footprint(sset, e, q, m, m - 1)):
-                next_bad = next_bad or {"e": e, "set": _names(sset)}
+            grow.case(len(before) <= len(after), {"e": e, "set": _names(sset),
+                                                  "before": len(before), "after": len(after)})
+            top.case(set(monomials.footprint(sset, e, q, m, m)) <= set(
+                monomials.footprint(image, e, q, m, m)), {"e": e, "set": _names(sset)})
+            nxt.case(set(monomials.footprint(image, e, q, m, m - 1)) <= set(
+                monomials.footprint(sset, e, q, m, m - 1)), {"e": e, "set": _names(sset)})
         for e in range(d, estar):
-            low_cases += 1
-            if len(monomials.footprint(sset, e, q, m)) > len(
-                    monomials.footprint(image, e, q, m)):
-                below_hits.append({"e": e, "set": _names(sset)})
-    rep.add("expander is injective, reduced and degree-preserving",
-            inj_bad is None, inj_cases, inj_bad)
-    rep.add("stable footprint never shrinks under the expander",
-            grow_bad is None, grow_cases, grow_bad)
-    rep.add("top level slice only gains footprint at stable degrees",
-            top_bad is None, top_cases, top_bad)
-    rep.add("next-to-top slice only loses footprint (all degrees)",
-            next_bad is None, next_cases, next_bad)
-    rep.add("sub-stable degrees scanned for contrast",
-            True, low_cases, None,
-            note=f"{len(below_hits)} size drops below the stable degree (recorded, not failures)")
+            low.case(True)
+            drops += len(monomials.footprint(sset, e, q, m)) > len(
+                monomials.footprint(image, e, q, m))
+    low.note = f"{drops} size drops below the stable degree (recorded, not failures)"
     return rep
 
 
@@ -284,26 +243,23 @@ def suite_clements_lindstrom(cfg: VerifyConfig) -> SuiteReport:
     """Lex segments have extremal shadows, one degree step and iterated."""
     rep = SuiteReport("clements-lindstrom")
     qs, _, d_max = cfg.grid((2, 3), None, 2)
-    lv = cfg.level if (cfg.level is not None and not cfg.quick) else 2
-    step_cases = iter_cases = 0
-    step_bad = iter_bad = None
+    lv = cfg.hypercube_level()
+    step = rep.check("one-step shadows of lex segments are minimal and lex-initial")
+    iterated = rep.check("iterated shadows keep lex segments extremal up to the cube top")
     for q in qs:
         for d in range(d_max + 1):
             for tset in _subsets(monomials.hypercube_slice(lv, q, d, "exact")):
                 seg = monomials.hypercube_lex_segment(lv, q, d, len(tset), "exact")
                 sh_seg = monomials.hypercube_shadow(seg, lv, q, ("==", d + 1))
                 sh_t = monomials.hypercube_shadow(tset, lv, q, ("==", d + 1))
-                step_cases += 1
                 prefix = monomials.hypercube_lex_segment(lv, q, d + 1,
                                                          len(sh_t), "exact") \
                     if len(sh_t) <= len(monomials.hypercube_slice(lv, q, d + 1, "exact")) else None
                 contained = prefix is not None and set(sh_seg) <= set(prefix)
                 fp_ok = (len(monomials.hypercube_footprint(tset, lv, q, ("==", d + 1)))
                          <= len(monomials.hypercube_footprint(seg, lv, q, ("==", d + 1))))
-                if not (contained and fp_ok):
-                    step_bad = step_bad or {"q": q, "d": d, "set": _names(tset)}
+                step.case(contained and fp_ok, {"q": q, "d": d, "set": _names(tset)})
                 for e in range(d, lv * (q - 1) + 1):
-                    iter_cases += 1
                     sh_seg_e = monomials.hypercube_shadow(seg, lv, q, ("==", e))
                     sh_t_e = monomials.hypercube_shadow(tset, lv, q, ("==", e))
                     pool = monomials.hypercube_slice(lv, q, e, "exact")
@@ -315,12 +271,7 @@ def suite_clements_lindstrom(cfg: VerifyConfig) -> SuiteReport:
                           <= len(monomials.hypercube_footprint(seg, lv, q, ("==", e)))
                           and len(monomials.hypercube_footprint(tset, lv, q))
                           <= len(monomials.hypercube_footprint(seg, lv, q)))
-                    if not ok:
-                        iter_bad = iter_bad or {"q": q, "d": d, "e": e, "set": _names(tset)}
-    rep.add("one-step shadows of lex segments are minimal and lex-initial",
-            step_bad is None, step_cases, step_bad)
-    rep.add("iterated shadows keep lex segments extremal up to the cube top",
-            iter_bad is None, iter_cases, iter_bad)
+                    iterated.case(ok, {"q": q, "d": d, "e": e, "set": _names(tset)})
     return rep
 
 
@@ -328,20 +279,19 @@ def suite_wei(cfg: VerifyConfig) -> SuiteReport:
     """Down-sets of lex type maximize footprints among mixed-degree sets."""
     rep = SuiteReport("wei")
     qs, _, d_max = cfg.grid((2, 3), None, 2)
-    lv = cfg.level if (cfg.level is not None and not cfg.quick) else 2
-    wei_cases = shadow_cases = comp_cases = 0
-    wei_bad = shadow_bad = comp_bad = None
+    lv = cfg.hypercube_level()
+    wei = rep.check("mixed-degree lex prefixes maximize the full footprint")
+    shadow = rep.check("shadow of a lex prefix is the terminal up-set with the positional size")
+    comp = rep.check("degree-step shadow of a lex prefix is a lex segment (nonempty when fed)")
     for q in qs:
         for d in range(d_max + 1):
             pool = monomials.hypercube_slice(lv, q, d, "at_most")
             for tset in _subsets(pool):
-                wei_cases += 1
                 seg = monomials.hypercube_lex_segment(lv, q, d, len(tset), "at_most")
-                if (len(monomials.hypercube_footprint(tset, lv, q))
-                        > len(monomials.hypercube_footprint(seg, lv, q))):
-                    wei_bad = wei_bad or {"q": q, "d": d, "set": _names(tset)}
+                wei.case(len(monomials.hypercube_footprint(tset, lv, q))
+                         <= len(monomials.hypercube_footprint(seg, lv, q)),
+                         {"q": q, "d": d, "set": _names(tset)})
             for rho in range(1, len(pool) + 1):
-                shadow_cases += 1
                 seg = monomials.hypercube_lex_segment(lv, q, d, rho, "at_most")
                 alpha = seg[-1]
                 sh = monomials.hypercube_shadow(seg, lv, q)
@@ -350,23 +300,15 @@ def suite_wei(cfg: VerifyConfig) -> SuiteReport:
                 ok = (sorted(sh) == sorted(upset)
                       and len(sh) == q**lv - below
                       and sorted(set(sh) & set(pool)) == sorted(seg))
-                if not ok:
-                    shadow_bad = shadow_bad or {"q": q, "d": d, "rho": rho}
+                shadow.case(ok, {"q": q, "d": d, "rho": rho})
             if d >= 1:
                 down = monomials.hypercube_slice(lv, q, d - 1, "at_most")
                 for rho in range(len(down) + 1):
-                    comp_cases += 1
                     seg = monomials.hypercube_lex_segment(lv, q, d - 1, rho, "at_most")
                     sh = monomials.hypercube_shadow(seg, lv, q, ("==", d))
                     want = monomials.hypercube_lex_segment(lv, q, d, len(sh), "exact")
-                    if sorted(sh) != sorted(want) or (rho > 0 and not sh):
-                        comp_bad = comp_bad or {"q": q, "d": d, "rho": rho}
-    rep.add("mixed-degree lex prefixes maximize the full footprint",
-            wei_bad is None, wei_cases, wei_bad)
-    rep.add("shadow of a lex prefix is the terminal up-set with the positional size",
-            shadow_bad is None, shadow_cases, shadow_bad)
-    rep.add("degree-step shadow of a lex prefix is a lex segment (nonempty when fed)",
-            comp_bad is None, comp_cases, comp_bad)
+                    comp.case(sorted(sh) == sorted(want) and (rho == 0 or bool(sh)),
+                              {"q": q, "d": d, "rho": rho})
     return rep
 
 
@@ -374,13 +316,11 @@ def suite_affinecomb(cfg: VerifyConfig) -> SuiteReport:
     """Mixed sets lose to the matched segment-union of the same shape."""
     rep = SuiteReport("affinecomb")
     qs, _, d_max = cfg.grid((2, 3), None, 2)
-    lv = cfg.level if (cfg.level is not None and not cfg.quick) else 2
-    cases = 0
-    bad = None
+    lv = cfg.hypercube_level()
+    check = rep.check("segment-union of matching shape has the larger footprint")
     for q in qs:
         for d in range(1, d_max + 1):
             for tset in _subsets(monomials.hypercube_slice(lv, q, d, "at_most")):
-                cases += 1
                 top = [mu for mu in tset if sum(mu) == d]
                 u = set(monomials.hypercube_lex_segment(lv, q, d, len(top), "exact"))
                 u |= set(monomials.hypercube_lex_segment(lv, q, d - 1,
@@ -388,10 +328,7 @@ def suite_affinecomb(cfg: VerifyConfig) -> SuiteReport:
                 ok = (len(u) == len(tset)
                       and len(monomials.hypercube_footprint(tset, lv, q))
                       <= len(monomials.hypercube_footprint(u, lv, q)))
-                if not ok:
-                    bad = bad or {"q": q, "d": d, "set": _names(tset)}
-    rep.add("segment-union of matching shape has the larger footprint",
-            bad is None, cases, bad)
+                check.case(ok, {"q": q, "d": d, "set": _names(tset)})
     return rep
 
 
@@ -399,42 +336,32 @@ def suite_macaulay(cfg: VerifyConfig) -> SuiteReport:
     """Binomial-sum representations agree with the direct tuple ranking."""
     rep = SuiteReport("macaulay")
     qs, m_max, _ = cfg.grid((3, 4, 5, 7), 4, None)
-    h_cases = e_cases = 0
-    h_bad = e_bad = None
+    h_form = rep.check("affine maximum agrees with its Macaulay form")
+    e_form = rep.check("predicted projective maximum agrees with its Macaulay form")
+    staircase = rep.check(
+        "representation is monotone, strictly staircased and reconstructs its input")
     for q in qs:
         for m in range(1, m_max + 1):
             for d in range(1, q):
                 top = formulas.binom(m + d, d)
                 for r in range(top + 1):
-                    h_cases += 1
-                    if formulas.affine_max_points(r, d, m, q) != \
-                            formulas.affine_max_points_macaulay(r, d, m, q):
-                        h_bad = h_bad or {"q": q, "m": m, "d": d, "r": r}
+                    h_form.case(formulas.affine_max_points(r, d, m, q)
+                                == formulas.affine_max_points_macaulay(r, d, m, q),
+                                {"q": q, "m": m, "d": d, "r": r})
                 for r in range(1, top + 1):
-                    e_cases += 1
-                    if formulas.conjectured_max_points(r, d, m, q)[0] != \
-                            formulas.conjectured_max_points_macaulay(r, d, m, q):
-                        e_bad = e_bad or {"q": q, "m": m, "d": d, "r": r}
-    rep.add("affine maximum agrees with its Macaulay form",
-            h_bad is None, h_cases, h_bad)
-    rep.add("predicted projective maximum agrees with its Macaulay form",
-            e_bad is None, e_cases, e_bad)
+                    e_form.case(formulas.conjectured_max_points(r, d, m, q)[0]
+                                == formulas.conjectured_max_points_macaulay(r, d, m, q),
+                                {"q": q, "m": m, "d": d, "r": r})
 
-    t_cases = 0
-    t_bad = None
     for d in range(1, 7):
         for n in range(formulas.binom(4 + d, d) + 1):
-            t_cases += 1
             parts = formulas.macaulay_tuple(n, d)
             svals = [parts[idx] + (d - idx) for idx in range(d)]
             ok = (all(x >= -1 for x in parts)
                   and all(a >= b for a, b in zip(parts, parts[1:]))
                   and all(a > b for a, b in zip(svals, svals[1:]))
                   and formulas.macaulay_value(parts) == n)
-            if not ok:
-                t_bad = t_bad or {"n": n, "d": d, "tuple": list(parts)}
-    rep.add("representation is monotone, strictly staircased and reconstructs its input",
-            t_bad is None, t_cases, t_bad)
+            staircase.case(ok, {"n": n, "d": d, "tuple": list(parts)})
     return rep
 
 
@@ -446,9 +373,10 @@ WITNESS_GRID = tuple((q, d, m) for q in (3, 4, 5)
 def suite_sandwich(cfg: VerifyConfig) -> SuiteReport:
     """Exhaustive maxima sit between prediction and the proven ceiling."""
     rep = SuiteReport("sandwich")
-    order_bad = sand_bad = viol_bad = None
-    order_cases = sand_cases = 0
-    viol_total = scanned = 0
+    sand = rep.check("prediction <= exhaustive maximum <= ceiling, equality when settled")
+    order = rep.check("exhaustive maximum strictly decreases with the rank")
+    viol = rep.check("no subspace beats the footprint of its leading monomials")
+    viol_total = 0
     for q, d, m in SANDWICH_INSTANCES:
         k = len(monomials.reduced_monomials(m, q, d))
         prev = None
@@ -456,69 +384,46 @@ def suite_sandwich(cfg: VerifyConfig) -> SuiteReport:
             res = varieties.brute_force_max_points(
                 r, d, m, q, budget=cfg.budget, workers=cfg.workers, footprint_check=True)
             viol_total += len(res.violations)
-            scanned += res.enumerated
-            if res.violations and viol_bad is None:
-                viol_bad = {"q": q, "d": d, "m": m, "r": r,
-                            "violation": list(res.violations[0])}
+            viol.case(not res.violations,
+                      {"q": q, "d": d, "m": m, "r": r, "violation": list(res.violations[0])}
+                      if res.violations else None, cases=res.enumerated)
             conj, status = formulas.conjectured_max_points(r, d, m, q)
             ceiling = formulas.projective_upper_bound(r, d, m, q)
             known = formulas.known_max_points(r, d, m, q)
             recount = varieties.count_common_zeros(res.witness, m, q)
-            sand_cases += 1
             ok = (conj <= res.value <= ceiling
                   and recount == res.value
                   and (status != "proven" or res.value == conj)
                   and (known is None or res.value == known))
-            if not ok:
-                sand_bad = sand_bad or {"q": q, "d": d, "m": m, "r": r,
-                                        "value": res.value, "predicted": conj,
-                                        "ceiling": ceiling, "known": known}
-            order_cases += 1
-            if prev is not None and res.value >= prev:
-                order_bad = order_bad or {"q": q, "d": d, "m": m, "r": r}
+            sand.case(ok, {"q": q, "d": d, "m": m, "r": r, "value": res.value,
+                           "predicted": conj, "ceiling": ceiling, "known": known})
+            order.case(prev is None or res.value < prev, {"q": q, "d": d, "m": m, "r": r})
             prev = res.value
-    rep.add("prediction <= exhaustive maximum <= ceiling, equality when settled",
-            sand_bad is None, sand_cases, sand_bad)
-    rep.add("exhaustive maximum strictly decreases with the rank",
-            order_bad is None, order_cases, order_bad)
-    rep.add("no subspace beats the footprint of its leading monomials",
-            viol_bad is None, scanned, viol_bad,
-            note=f"{viol_total} violations in {scanned} subspaces")
+    viol.note = f"{viol_total} violations in {viol.cases} subspaces"
 
-    eq_cases = 0
-    eq_bad = None
+    eq = rep.check("identically-vanishing forms shift but do not change the maxima")
     q, d, m = 2, 3, 1
     gdim = formulas.vanishing_forms_dim(d, m, q)
     for r in range(1, len(monomials.reduced_monomials(m, q, d)) + 1):
-        eq_cases += 1
         full = varieties.brute_force_max_points(r + gdim, d, m, q, mode="all",
                                                 budget=cfg.budget, workers=cfg.workers)
         red = varieties.brute_force_max_points(r, d, m, q, mode="reduced",
                                                budget=cfg.budget, workers=cfg.workers)
-        if full.value != red.value:
-            eq_bad = eq_bad or {"q": q, "d": d, "m": m, "r": r,
-                                "full": full.value, "reduced": red.value}
+        eq.case(full.value == red.value, {"q": q, "d": d, "m": m, "r": r,
+                                          "full": full.value, "reduced": red.value})
     for r in range(1, gdim + 1):
-        eq_cases += 1
         full = varieties.brute_force_max_points(r, d, m, q, mode="all",
                                                 budget=cfg.budget, workers=cfg.workers)
-        if full.value != formulas.projective_count(m, q):
-            eq_bad = eq_bad or {"q": q, "d": d, "m": m, "r": r, "full": full.value}
-    rep.add("identically-vanishing forms shift but do not change the maxima",
-            eq_bad is None, eq_cases, eq_bad)
+        eq.case(full.value == formulas.projective_count(m, q),
+                {"q": q, "d": d, "m": m, "r": r, "full": full.value})
 
-    w_cases = 0
-    w_bad = None
+    wit = rep.check("constructed witness families attain every predicted maximum")
     for q, d, m in WITNESS_GRID:
         for r in range(1, formulas.binom(m + d, d) + 1):
-            w_cases += 1
             res = varieties.construct_witness(r, d, m, q, budget=cfg.budget)
-            if res.method != "construction" or res.value != res.predicted:
-                w_bad = w_bad or {"q": q, "d": d, "m": m, "r": r,
-                                  "method": res.method, "value": res.value,
-                                  "predicted": res.predicted}
-    rep.add("constructed witness families attain every predicted maximum",
-            w_bad is None, w_cases, w_bad)
+            wit.case(res.method == "construction" and res.value == res.predicted,
+                     {"q": q, "d": d, "m": m, "r": r, "method": res.method,
+                      "value": res.value, "predicted": res.predicted})
     return rep
 
 
@@ -530,28 +435,23 @@ def suite_codes(cfg: VerifyConfig) -> SuiteReport:
     """Evaluation codes: dimension, nondegeneracy, distances, hierarchy."""
     rep = SuiteReport("codes")
     qs, m_max, _ = cfg.grid((2, 3, 4), 3, None)
-    dim_cases = 0
-    dim_bad = None
+    dim = rep.check("generator rank matches the alternating-sum dimension, no dead points")
+    ideal = rep.check("vanishing-ideal dimension identities hold beyond the code range")
+    mindist = rep.check("exhaustive minimum distance matches the closed form")
+    hier = rep.check("weight hierarchy strictly increases to n and clears its floor")
     for q in qs:
         for m in range(1, m_max + 1):
             for d in range(1, m * (q - 1) + 1):
-                dim_cases += 1
                 code = codes.build_prm(d, m, q)
                 ok = (code.k == formulas.prm_dimension(d, m, q)
                       and code.k == len(monomials.reduced_monomials(m, q, d))
                       and code.n == formulas.projective_count(m, q)
                       and not (code.generator == 0).all(axis=0).any())
-                if not ok:
-                    dim_bad = dim_bad or {"q": q, "m": m, "d": d, "k": code.k}
-    rep.add("generator rank matches the alternating-sum dimension, no dead points",
-            dim_bad is None, dim_cases, dim_bad)
+                dim.case(ok, {"q": q, "m": m, "d": d, "k": code.k})
 
-    formula_cases = 0
-    formula_bad = None
     for q in (2, 3, 4):
         for m in (1, 2):
             for d in range(0, m * (q - 1) + 3):
-                formula_cases += 1
                 k = len(monomials.reduced_monomials(m, q, d))
                 gd = formulas.vanishing_forms_dim(d, m, q)
                 ok = gd == formulas.binom(m + d, d) - k
@@ -563,37 +463,22 @@ def suite_codes(cfg: VerifyConfig) -> SuiteReport:
                     ok = ok and gd == formulas.binom(m + 1, 2)
                 if d >= m * (q - 1) + 1:
                     ok = ok and k == formulas.projective_count(m, q)
-                if not ok:
-                    formula_bad = formula_bad or {"q": q, "m": m, "d": d}
-    rep.add("vanishing-ideal dimension identities hold beyond the code range",
-            formula_bad is None, formula_cases, formula_bad)
+                ideal.case(ok, {"q": q, "m": m, "d": d})
 
-    md_cases = 0
-    md_bad = None
     for d, m, q in MINDIST_INSTANCES:
-        md_cases += 1
         code = codes.build_prm(d, m, q)
         got = codes.ghw_exhaustive(code, 1, budget=cfg.budget, workers=cfg.workers).weight
-        if got != formulas.prm_min_distance(d, m, q):
-            md_bad = md_bad or {"q": q, "m": m, "d": d, "weight": got,
-                                "formula": formulas.prm_min_distance(d, m, q)}
-    rep.add("exhaustive minimum distance matches the closed form",
-            md_bad is None, md_cases, md_bad)
+        want = formulas.prm_min_distance(d, m, q)
+        mindist.case(got == want, {"q": q, "m": m, "d": d, "weight": got, "formula": want})
 
-    hier_cases = 0
-    hier_bad = None
     for d, m, q in GHW_SMALL:
         code = codes.build_prm(d, m, q)
         table = codes.ghw_table(code, budget=cfg.budget, workers=cfg.workers)
-        hier_cases += 1
         ok = all(a < b for a, b in zip(table, table[1:])) and table[-1] == code.n
         if d < q:
             for r in range(1, code.k + 1):
                 ok = ok and formulas.ghw_lower_bound(r, d, m, q) <= table[r - 1]
-        if not ok:
-            hier_bad = hier_bad or {"q": q, "m": m, "d": d, "table": list(table)}
-    rep.add("weight hierarchy strictly increases to n and clears its floor",
-            hier_bad is None, hier_cases, hier_bad)
+        hier.case(ok, {"q": q, "m": m, "d": d, "table": list(table)})
     return rep
 
 
@@ -603,16 +488,10 @@ DUALITY_INSTANCES = ((1, 1, 3), (1, 2, 3), (2, 1, 3), (2, 2, 3), (3, 1, 2))
 def suite_duality(cfg: VerifyConfig) -> SuiteReport:
     """Exhaustive weights and exhaustive zero maxima are complementary."""
     rep = SuiteReport("duality")
-    cases = 0
-    bad = None
+    check = rep.check("weight + max zeros = point count at every rank")
     for d, m, q in DUALITY_INSTANCES:
-        rows = codes.check_duality(d, m, q, budget=cfg.budget, workers=cfg.workers)
-        for row in rows:
-            cases += 1
-            if not row["holds"]:
-                bad = bad or {"q": q, "m": m, "d": d, **row}
-    rep.add("weight + max zeros = point count at every rank",
-            bad is None, cases, bad)
+        for row in codes.check_duality(d, m, q, budget=cfg.budget, workers=cfg.workers):
+            check.case(row["holds"], {"q": q, "m": m, "d": d, **row})
     return rep
 
 
@@ -631,7 +510,9 @@ SUITES = {
 }
 
 
-def run_suites(names, cfg: VerifyConfig) -> list[SuiteReport]:
+def resolve_suites(names) -> list[str]:
+    """Expand 'all' and drop repeats, keeping first-mention order; an
+    unknown name raises KeyError listing the choices."""
     if isinstance(names, str):
         names = [names]
     expanded = []
@@ -641,9 +522,9 @@ def run_suites(names, cfg: VerifyConfig) -> list[SuiteReport]:
         elif name in SUITES:
             expanded.append(name)
         else:
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    seen = []
-    for name in expanded:
-        if name not in seen:
-            seen.append(name)
-    return [SUITES[name](cfg) for name in seen]
+            raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
+    return list(dict.fromkeys(expanded))
+
+
+def run_suites(names, cfg: VerifyConfig) -> list[SuiteReport]:
+    return [SUITES[name](cfg) for name in resolve_suites(names)]

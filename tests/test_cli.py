@@ -204,6 +204,35 @@ def test_nonpositive_workers_exit_2(capsys, command, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["tables", "--d", "2", "--m", "1"],
+    ["search", "footprint", "--d", "2", "--m", "1", "--r", "1"],
+    ["verify", "--suite", "wei"],
+])
+@pytest.mark.parametrize("q, message", [
+    ("6", "6 is not a prime power"),
+    ("128", "q = 128 exceeds the cap of 64"),
+])
+def test_field_size_rejected(capsys, command, q, message):
+    with pytest.raises(SystemExit) as info:
+        cli.main(command + ["--q", q])
+    assert info.value.code == 2
+    assert f"argument --q: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q, message", [
+    ("1", "1 is not a prime power"),
+    ("1,x", "1 is not a prime power"),
+    ("3,x", "field size 'x' is not an integer"),
+    ("2,9,12", "12 is not a prime power"),
+])
+def test_verify_field_size_list_rejected(capsys, q, message):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--suite", "wei", "--q", q])
+    assert info.value.code == 2
+    assert f"argument --q: {message}" in capsys.readouterr().err
+
+
 def test_verify_pretty_and_csv(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "affinecomb",
                            "--format", "pretty")
