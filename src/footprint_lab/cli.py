@@ -50,11 +50,19 @@ def _suites(text: str) -> list[str]:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--d", type=int, required=True)
     sea.add_argument("--m", type=int, required=True)
     sea.add_argument("--r", type=int, required=True)
-    sea.add_argument("--e", type=int, default=None,
+    sea.add_argument("--e", type=_nonnegative_int, default=None,
                      help="footprint degree (footprint only; default: stable degree)")
     sea.add_argument("--mode", choices=("reduced", "all"), default="reduced",
                      help="monomial basis for the er scan")
@@ -88,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated suite names, or all")
     ver.add_argument("--q", type=_field_sizes, default=None,
                      help="comma-separated field sizes, e.g. 2,3")
-    ver.add_argument("--m-max", type=int, default=None)
-    ver.add_argument("--d-max", type=int, default=None)
-    ver.add_argument("--l", type=int, default=None, help="hypercube level")
+    ver.add_argument("--m-max", type=_positive_int, default=None)
+    ver.add_argument("--d-max", type=_positive_int, default=None)
+    ver.add_argument("--l", type=_positive_int, default=None, help="hypercube level")
     ver.add_argument("--quick", action="store_true",
                      help="pin the stock acceptance grids, ignoring grid flags")
     ver.add_argument("--budget", type=int, default=None)

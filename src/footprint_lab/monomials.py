@@ -11,8 +11,9 @@ exponent tuples, which coincides with Python's tuple order reversed.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import BadLevel, CountOutOfRange
 
@@ -105,6 +106,8 @@ def _check_level(lv, m) -> None:
 def reduced_monomials(m: int, q: int, deg: int, lv: int | None = None) -> tuple[Monomial, ...]:
     """Projectively reduced degree-deg monomials in x_0..x_m, descending
     lex; lv restricts to those whose last variable is x_lv."""
+    if deg < 0:
+        raise ValueError(f"degree {deg} is negative")
     if lv is not None:
         _check_level(lv, m)
     out = []
@@ -149,6 +152,22 @@ def footprint(mons, deg: int, q: int, m: int, lv: int | None = None) -> list[Mon
     mons = list(mons)
     return [mu for mu in reduced_monomials(m, q, deg, lv)
             if not any(divides(nu, mu) for nu in mons)]
+
+
+def footprint_sizes(pool, r: int, deg: int, q: int, m: int) -> list[int]:
+    """len(footprint(c, deg, q, m)) for every r-subset c of pool, in
+    itertools.combinations order, from shadow masks.
+
+    Each pool monomial gets one int bitmask over reduced_monomials(m, q,
+    deg): bit t is set when it divides the t-th target.  A subset's shadow
+    is the OR of its members' masks and its footprint is the complement,
+    so its size is the number of targets minus the popcount.  This costs
+    len(pool) * len(target) divisibility tests in all, not one per subset
+    and target."""
+    target = reduced_monomials(m, q, deg)
+    masks = [sum(1 << t for t, mu in enumerate(target) if divides(nu, mu)) for nu in pool]
+    return [len(target) - reduce(operator.or_, combo, 0).bit_count()
+            for combo in itertools.combinations(masks, r)]
 
 
 def restrict_level(mons, lv: int, q: int) -> list[Monomial]:

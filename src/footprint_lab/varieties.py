@@ -107,9 +107,8 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
     if footprint_check:
         if mode != "reduced":
             raise ValueError("footprint bound check requires reduced mode")
-        estar = monomials.stable_degree(d, m, q)
-        bounds = [len(monomials.footprint([basis[p] for p in combo], estar, q, m))
-                  for combo in linalg.pivot_patterns(k, r)]
+        # combinations order is the lexicographic order of pivot_patterns
+        bounds = monomials.footprint_sizes(basis, r, monomials.stable_degree(d, m, q), q, m)
     mat = linalg.eval_matrix(field, basis, pts)
     value, rref, enumerated, raw = linalg.scan_max_zero_columns(q, mat, r, workers, bounds)
     assert enumerated == total
@@ -146,7 +145,13 @@ def brute_force_affine_max_points(r: int, d: int, m: int, q: int, *,
 def brute_force_max_footprint(r: int, d: int, m: int, q: int, e: int, *,
                               budget: int | None = None) -> SearchResult:
     """Largest degree-e footprint over every r-subset of the reduced
-    degree-d monomials."""
+    degree-d monomials; the witness is the earliest maximizing subset in
+    itertools.combinations order.
+
+    Subset sizes come from monomials.footprint_sizes: one shadow bitmask
+    per monomial over the degree-e targets, OR'd per subset, so the scan
+    does k * |target| divisibility tests instead of one per subset and
+    target.  The budget is charged C(k, r) * |target|."""
     pool = monomials.reduced_monomials(m, q, d)
     k = len(pool)
     if not 1 <= r <= k:
@@ -155,11 +160,10 @@ def brute_force_max_footprint(r: int, d: int, m: int, q: int, e: int, *,
     total = math.comb(k, r)
     runtime.charge_budget(total * len(target), budget, "footprint subset scan")
     best, best_set = -1, None
-    for combo in itertools.combinations(range(k), r):
-        chosen = [pool[i] for i in combo]
-        size = sum(1 for mu in target if not any(monomials.divides(nu, mu) for nu in chosen))
+    for combo, size in zip(itertools.combinations(pool, r),
+                           monomials.footprint_sizes(pool, r, e, q, m)):
         if size > best:
-            best, best_set = size, tuple(chosen)
+            best, best_set = size, combo
     return SearchResult(value=best, witness=best_set, enumerated=total)
 
 

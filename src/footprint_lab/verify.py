@@ -284,7 +284,8 @@ def suite_wei(cfg: VerifyConfig) -> SuiteReport:
     shadow = rep.check("shadow of a lex prefix is the terminal up-set with the positional size")
     comp = rep.check("degree-step shadow of a lex prefix is a lex segment (nonempty when fed)")
     for q in qs:
-        for d in range(d_max + 1):
+        # no hypercube monomial has degree above the cube top l(q-1)
+        for d in range(min(d_max, lv * (q - 1)) + 1):
             pool = monomials.hypercube_slice(lv, q, d, "at_most")
             for tset in _subsets(pool):
                 seg = monomials.hypercube_lex_segment(lv, q, d, len(tset), "at_most")

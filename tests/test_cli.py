@@ -91,6 +91,14 @@ def test_search_footprint(capsys):
     assert data["matches_formula"] is None
 
 
+def test_search_footprint_negative_degree_exit_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["search", "footprint", "--q", "3", "--d", "2", "--m", "2",
+                  "--r", "2", "--e", "-1"])
+    assert info.value.code == 2
+    assert "--e: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_search_footprint_degree_at_least_q(capsys):
     # K_r is the footprint ceiling only for d < q; at d >= q it is not a
     # prediction, so the scan has nothing to match (here 12 exceeds K_2 = 10)
@@ -166,6 +174,27 @@ def test_verify_single_suite(capsys):
 def test_verify_grid_flags(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "reduction",
                            "--q", "2,3", "--m-max", "1", "--d-max", "4")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("suite, flag, value", [
+    ("wei", "--l", "0"),
+    ("wei", "--l", "-1"),
+    ("expander", "--m-max", "0"),
+    ("specialization", "--d-max", "0"),
+])
+def test_verify_grid_flag_below_one_exit_2(capsys, suite, flag, value):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--suite", suite, flag, value])
+    assert info.value.code == 2
+    assert f"{flag}: must be >= 1, got {value}" in capsys.readouterr().err
+
+
+def test_verify_wei_stops_at_cube_top(capsys):
+    # d = 3 lies above the level-2 cube top 2 at q = 2; q = 3 still reaches it
+    code, out, _ = run_cli(capsys, "verify", "--suite", "wei", "--q", "2,3",
+                           "--m-max", "1", "--d-max", "3", "--l", "2")
     assert code == 0
     assert json.loads(out)["passed"] is True
 

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from footprint_lab.errors import BadLevel, CountOutOfRange
 from footprint_lab.gf import make_field
@@ -71,6 +73,13 @@ def test_reduced_monomials_enumeration():
         mo.reduced_monomials(2, 3, 2, 5)
 
 
+def test_reduced_monomials_rejects_negative_degree():
+    with pytest.raises(ValueError, match="negative"):
+        mo.reduced_monomials(2, 3, -1)
+    with pytest.raises(ValueError, match="negative"):
+        mo.footprint([(1, 0, 0)], -2, 3, 2)
+
+
 def test_all_monomials():
     got = mo.all_monomials(2, 2)
     assert len(got) == 6
@@ -94,6 +103,20 @@ def test_footprint_single_generator():
     fp = mo.footprint([(1, 0, 0)], 6, 3, 2)
     assert len(fp) == 4
     assert all(mon[0] == 0 for mon in fp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), q=st.sampled_from((2, 3, 4, 5)), m=st.integers(1, 3))
+def test_footprint_sizes_match_footprint(data, q, m):
+    d = data.draw(st.integers(1, q), label="d")
+    pool = data.draw(st.lists(st.sampled_from(mo.reduced_monomials(m, q, d)),
+                              min_size=1, max_size=7, unique=True), label="pool")
+    r = data.draw(st.integers(1, len(pool)), label="r")
+    estar = mo.stable_degree(d, m, q)
+    # zero, below the pool's degree, just below, at and above the stable degree
+    e = data.draw(st.sampled_from((0, d - 1, d, estar - 1, estar, estar + 2)), label="e")
+    want = [len(mo.footprint(c, e, q, m)) for c in itertools.combinations(pool, r)]
+    assert mo.footprint_sizes(pool, r, e, q, m) == want
 
 
 def test_restrict_level():

@@ -1,10 +1,13 @@
 """Point enumeration, exhaustive subspace searches, witness families."""
 
+import itertools
+
 import pytest
 
 from footprint_lab.errors import (AmbientMismatch, BudgetExceeded,
                                   IndexOutOfRange, OutOfRange, WitnessInvalid)
 from footprint_lab import formulas as fo
+from footprint_lab import monomials as mo
 from footprint_lab import varieties as va
 from footprint_lab.polys import make_poly, monomial_poly
 
@@ -113,6 +116,25 @@ def test_brute_force_max_footprint():
     assert got == [8, 5, 4, 2, 1, 0]
     with pytest.raises(BudgetExceeded):
         va.brute_force_max_footprint(3, 2, 2, 3, 6, budget=5)
+
+
+def test_max_footprint_witness_is_earliest_maximizer():
+    tied = 0
+    for r, d, m, q, e in ((2, 2, 2, 3, 3), (3, 2, 2, 3, 6), (2, 3, 2, 4, 5),
+                          (3, 1, 3, 2, 2), (2, 2, 1, 5, 3)):
+        pool = mo.reduced_monomials(m, q, d)
+        target = mo.reduced_monomials(m, q, e)
+        sizes = [sum(1 for mu in target if not any(mo.divides(nu, mu) for nu in combo))
+                 for combo in itertools.combinations(pool, r)]
+        best = max(sizes)
+        tied += sizes.count(best) > 1
+        first = next(itertools.islice(itertools.combinations(pool, r),
+                                      sizes.index(best), None))
+        res = va.brute_force_max_footprint(r, d, m, q, e)
+        assert (res.value, res.witness) == (best, first)
+        assert res.enumerated == len(sizes)
+    # the instances are only a test of "earliest" if maximizers tie
+    assert tied >= 3
 
 
 def test_construct_witness_matches_prediction():
