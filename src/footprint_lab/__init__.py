@@ -10,14 +10,14 @@ from .errors import (AmbientMismatch, BadEncoding, BadLevel, BudgetExceeded,
                      DivisionByZero, IndexOutOfRange, NotPrimePower,
                      OutOfRange, WitnessInvalid)
 from .formulas import (affine_max_points, affine_max_points_macaulay,
-                       affine_vanishing_dim, binom, bounded_tuples,
+                       affine_vanishing_dim, binom,
                        conjectured_max_points, conjectured_max_points_macaulay,
                        gaussian_binomial, ghw_lower_bound, known_family,
                        known_max_points, macaulay_tuple, macaulay_value,
                        prm_dimension, prm_min_distance, projective_count,
                        projective_upper_bound, rank_split, vanishing_forms_dim)
-from .gf import FieldSpec, enumerate_field, field_arith, make_field
-from .monomials import (all_monomials, divides, expand, footprint,
+from .gf import FieldSpec, make_field
+from .monomials import (all_monomials, bounded_tuples, divides, expand, footprint,
                         format_monomial, hypercube, hypercube_footprint,
                         hypercube_lex_segment, hypercube_shadow,
                         hypercube_slice, is_reduced, lex_segment_reduced,

@@ -12,10 +12,10 @@ bound which ranks its complementary tuples ascending.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import IndexOutOfRange, OutOfRange
 from . import monomials
+from .monomials import bounded_tuples
 
 
 def binom(n: int, k: int) -> int:
@@ -30,22 +30,6 @@ def projective_count(j: int, q: int) -> int:
     if j < 0:
         return 0
     return (q ** (j + 1) - 1) // (q - 1)
-
-
-@lru_cache(maxsize=None)
-def bounded_tuples(length: int, cap: int, total: int, mode: str = "at_most") -> tuple[tuple[int, ...], ...]:
-    """Tuples with entries in 0..cap and sum <= total ("at_most") or
-    == total ("exact"), in descending lex."""
-    if mode not in ("at_most", "exact"):
-        raise ValueError(f"mode {mode!r}")
-    if length == 0:
-        ok = total >= 0 if mode == "at_most" else total == 0
-        return ((),) if ok else ()
-    out = []
-    for first in range(min(cap, total), -1, -1):
-        for rest in bounded_tuples(length - 1, cap, total - first, mode):
-            out.append((first,) + rest)
-    return tuple(out)
 
 
 def _positional_weight(t: tuple[int, ...], q: int) -> int:

@@ -220,34 +220,3 @@ def make_field(q: int) -> FieldSpec:
                      add_table=add, mul_table=mul, neg_table=neg, inv_table=inv,
                      log_table=log, exp_table=exp)
 
-
-_OPS = {
-    "add": lambda f, a, b: f.add(a, b),
-    "sub": lambda f, a, b: f.sub(a, b),
-    "mul": lambda f, a, b: f.mul(a, b),
-    "div": lambda f, a, b: f.div(a, b),
-    "neg": lambda f, a, b: f.neg(a),
-    "inv": lambda f, a, b: f.inv(a),
-    "pow": lambda f, a, b: f.pow(a, b),
-}
-
-
-def field_arith(spec: FieldSpec, op: str, a: int, b: int | None = None):
-    """Dispatch one arithmetic operation by name.
-
-    For "pow" the second operand is an integer exponent, not an element.
-    """
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}; expected one of {sorted(_OPS)}")
-    if op in ("neg", "inv"):
-        return _OPS[op](spec, a, None)
-    if b is None:
-        raise BadEncoding(f"op {op!r} needs a second operand")
-    if op != "pow":
-        spec.check(b)
-    return _OPS[op](spec, a, b)
-
-
-def enumerate_field(spec: FieldSpec) -> list[int]:
-    """Deterministic element order: 0, 1, then ascending encodings."""
-    return spec.elements()

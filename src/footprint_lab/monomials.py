@@ -103,6 +103,23 @@ def _check_level(lv, m) -> None:
 
 
 @lru_cache(maxsize=None)
+def bounded_tuples(length: int, cap: int, total: int, mode: str = "at_most") -> tuple[Monomial, ...]:
+    """Tuples with entries in 0..cap and sum <= total ("at_most") or
+    == total ("exact"), in descending lex.  Every basis, cube and slice of
+    exponent tuples in the package is read off this one enumerator."""
+    if mode not in ("at_most", "exact"):
+        raise ValueError(f"mode {mode!r}")
+    if length == 0:
+        ok = total >= 0 if mode == "at_most" else total == 0
+        return ((),) if ok else ()
+    out = []
+    for first in range(min(cap, total), -1, -1):
+        for rest in bounded_tuples(length - 1, cap, total - first, mode):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def reduced_monomials(m: int, q: int, deg: int, lv: int | None = None) -> tuple[Monomial, ...]:
     """Projectively reduced degree-deg monomials in x_0..x_m, descending
     lex; lv restricts to those whose last variable is x_lv."""
@@ -111,47 +128,34 @@ def reduced_monomials(m: int, q: int, deg: int, lv: int | None = None) -> tuple[
     if lv is not None:
         _check_level(lv, m)
     out = []
-    levels = range(m + 1) if lv is None else [lv]
-    for l in levels:
-        if deg == 0:
-            if l == 0:
-                out.append((0,) * (m + 1))
-            continue
-        if l == 0:
-            out.append((deg,) + (0,) * m)
-            continue
-        for head in itertools.product(range(q), repeat=l):
-            rest = deg - sum(head)
-            if rest >= 1:
-                out.append(head + (rest,) + (0,) * (m - l))
+    for l in range(m + 1) if lv is None else [lv]:
+        # the head x_0..x_{l-1} has entries below q and sum below deg (it is
+        # empty at level 0); the last variable x_l takes the rest
+        for head in bounded_tuples(l, q - 1, deg - 1) if l else [()]:
+            out.append(head + (deg - sum(head),) + (0,) * (m - l))
     return tuple(sort_desc(out))
 
 
-@lru_cache(maxsize=None)
 def all_monomials(m: int, deg: int) -> tuple[Monomial, ...]:
     """Every degree-deg monomial in x_0..x_m, descending lex."""
-    def rec(vars_left: int, total: int):
-        if vars_left == 1:
-            yield (total,)
-            return
-        for a in range(total, -1, -1):
-            for tail in rec(vars_left - 1, total - a):
-                yield (a,) + tail
-    return tuple(rec(m + 1, deg))
+    return bounded_tuples(m + 1, deg, deg, "exact")
+
+
+def _multiples(mons, targets, divisible: bool = True) -> list[Monomial]:
+    """Members of targets that are (or with divisible=False, are not)
+    multiples of some member of mons, in target order."""
+    mons = list(mons)
+    return [mu for mu in targets if any(divides(nu, mu) for nu in mons) == divisible]
 
 
 def shadow(mons, deg: int, q: int, m: int, lv: int | None = None) -> list[Monomial]:
     """Degree-deg multiples, within the reduced monomials, of members of mons."""
-    mons = list(mons)
-    return [mu for mu in reduced_monomials(m, q, deg, lv)
-            if any(divides(nu, mu) for nu in mons)]
+    return _multiples(mons, reduced_monomials(m, q, deg, lv))
 
 
 def footprint(mons, deg: int, q: int, m: int, lv: int | None = None) -> list[Monomial]:
     """Degree-deg reduced monomials not divisible by any member of mons."""
-    mons = list(mons)
-    return [mu for mu in reduced_monomials(m, q, deg, lv)
-            if not any(divides(nu, mu) for nu in mons)]
+    return _multiples(mons, reduced_monomials(m, q, deg, lv), divisible=False)
 
 
 def footprint_sizes(pool, r: int, deg: int, q: int, m: int) -> list[int]:
@@ -208,63 +212,43 @@ def expand(mons, q: int) -> list[Monomial]:
     return sort_desc(out)
 
 
-@lru_cache(maxsize=None)
 def hypercube(lv: int, q: int) -> tuple[Monomial, ...]:
     """All monomials in x_0..x_{lv-1} with exponents at most q-1, descending lex."""
-    return tuple(sort_desc(itertools.product(range(q), repeat=lv)))
+    return bounded_tuples(lv, q - 1, lv * (q - 1))
 
 
-@lru_cache(maxsize=None)
 def hypercube_slice(lv: int, q: int, deg: int, mode: str = "exact") -> tuple[Monomial, ...]:
     """Degree slice of the level-lv hypercube: total degree == deg
     ("exact") or <= deg ("at_most"), descending lex."""
-    if mode not in ("exact", "at_most"):
-        raise ValueError(f"mode {mode!r}")
-    keep = (lambda s: s == deg) if mode == "exact" else (lambda s: s <= deg)
-    return tuple(mon for mon in hypercube(lv, q) if keep(sum(mon)))
+    return bounded_tuples(lv, q - 1, deg, mode)
+
+
+def _prefix(pool, count: int) -> list[Monomial]:
+    if not 0 <= count <= len(pool):
+        raise CountOutOfRange(f"count {count} outside 0..{len(pool)}")
+    return list(pool[:count])
 
 
 def hypercube_lex_segment(lv: int, q: int, deg: int, count: int, mode: str = "at_most") -> list[Monomial]:
     """First `count` members of the degree slice in descending lex."""
-    pool = hypercube_slice(lv, q, deg, mode)
-    if not 0 <= count <= len(pool):
-        raise CountOutOfRange(f"count {count} outside 0..{len(pool)}")
-    return list(pool[:count])
+    return _prefix(hypercube_slice(lv, q, deg, mode), count)
 
 
-def _degree_keep(degree_filter):
-    if degree_filter is None:
-        return lambda s: True
-    op, d = degree_filter
-    table = {"==": lambda s: s == d, "<=": lambda s: s <= d, "<": lambda s: s < d,
-             ">=": lambda s: s >= d, ">": lambda s: s > d}
-    if op not in table:
-        raise ValueError(f"degree filter op {op!r}")
-    return table[op]
+def hypercube_shadow(mons, lv: int, q: int, deg: int | None = None) -> list[Monomial]:
+    """Hypercube multiples of members of mons; of degree exactly deg when given."""
+    targets = hypercube(lv, q) if deg is None else hypercube_slice(lv, q, deg)
+    return _multiples(mons, targets)
 
 
-def hypercube_shadow(mons, lv: int, q: int, degree_filter=None) -> list[Monomial]:
-    """Hypercube multiples of members of mons, optionally degree-filtered."""
-    mons = list(mons)
-    keep = _degree_keep(degree_filter)
-    return [mu for mu in hypercube(lv, q)
-            if keep(sum(mu)) and any(divides(nu, mu) for nu in mons)]
-
-
-def hypercube_footprint(mons, lv: int, q: int, degree_filter=None) -> list[Monomial]:
-    """Hypercube non-multiples of members of mons, optionally degree-filtered."""
-    mons = list(mons)
-    keep = _degree_keep(degree_filter)
-    return [mu for mu in hypercube(lv, q)
-            if keep(sum(mu)) and not any(divides(nu, mu) for nu in mons)]
+def hypercube_footprint(mons, lv: int, q: int, deg: int | None = None) -> list[Monomial]:
+    """Hypercube non-multiples of members of mons; of degree exactly deg when given."""
+    targets = hypercube(lv, q) if deg is None else hypercube_slice(lv, q, deg)
+    return _multiples(mons, targets, divisible=False)
 
 
 def lex_segment_reduced(m: int, q: int, deg: int, count: int) -> list[Monomial]:
     """First `count` reduced degree-deg monomials in descending lex."""
-    pool = reduced_monomials(m, q, deg)
-    if not 0 <= count <= len(pool):
-        raise CountOutOfRange(f"count {count} outside 0..{len(pool)}")
-    return list(pool[:count])
+    return _prefix(reduced_monomials(m, q, deg), count)
 
 
 def stable_degree(d: int, m: int, q: int) -> int:

@@ -150,15 +150,15 @@ def brute_force_max_footprint(r: int, d: int, m: int, q: int, e: int, *,
 
     Subset sizes come from monomials.footprint_sizes: one shadow bitmask
     per monomial over the degree-e targets, OR'd per subset, so the scan
-    does k * |target| divisibility tests instead of one per subset and
-    target.  The budget is charged C(k, r) * |target|."""
+    does k * |target| divisibility tests and r mask ORs per subset.  The
+    budget is charged that: k * |target| + C(k, r) * r."""
     pool = monomials.reduced_monomials(m, q, d)
     k = len(pool)
     if not 1 <= r <= k:
         raise IndexOutOfRange(f"r = {r} outside 1..{k}")
     target = monomials.reduced_monomials(m, q, e)
     total = math.comb(k, r)
-    runtime.charge_budget(total * len(target), budget, "footprint subset scan")
+    runtime.charge_budget(k * len(target) + total * r, budget, "footprint subset scan")
     best, best_set = -1, None
     for combo, size in zip(itertools.combinations(pool, r),
                            monomials.footprint_sizes(pool, r, e, q, m)):

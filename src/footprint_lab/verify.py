@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from . import codes, formulas, linalg, monomials, varieties
+from . import codes, formulas, linalg, monomials, runtime, varieties
 from .gf import make_field
 from .monomials import format_monomial
 from .polys import make_poly, reduce_polynomial
@@ -74,14 +74,22 @@ class VerifyConfig:
         return self.level if (self.level is not None and not self.quick) else 2
 
 
-def _subsets(pool):
+def _subsets(pool, targets: int, cfg: VerifyConfig, suite: str):
+    """Every subset of pool, smallest first, in combinations order.  Before
+    the first one, 2^|pool| x targets is charged to the budget, targets
+    being the monomials that one subset's shadows and footprints test."""
     pool = list(pool)
+    runtime.charge_budget(2 ** len(pool) * targets, cfg.budget, f"{suite} subset walk")
     for r in range(len(pool) + 1):
         yield from itertools.combinations(pool, r)
 
 
 def _names(mons):
     return [format_monomial(mu) for mu in mons]
+
+
+def _reduced_count(m: int, q: int, degrees, lv: int | None = None) -> int:
+    return sum(len(monomials.reduced_monomials(m, q, e, lv)) for e in degrees)
 
 
 def suite_reduction(cfg: VerifyConfig) -> SuiteReport:
@@ -139,9 +147,12 @@ def suite_footprint_decomposition(cfg: VerifyConfig) -> SuiteReport:
         # d + m(q-1) is meaningful for forms, so d starts at 1
         for d in range(1, d_max + 1):
             estar = monomials.stable_degree(d, m, q)
-            for sset in _subsets(monomials.reduced_monomials(m, q, d)):
+            stable = (estar, estar + 1, estar + 2)
+            # the whole footprint, its level slices and the restricted slices
+            targets = 3 * _reduced_count(m, q, stable)
+            for sset in _subsets(monomials.reduced_monomials(m, q, d), targets, cfg, rep.suite):
                 sizes = []
-                for e in (estar, estar + 1, estar + 2):
+                for e in stable:
                     whole = monomials.footprint(sset, e, q, m)
                     slices = [monomials.footprint(sset, e, q, m, lv) for lv in range(m + 1)]
                     flat = [mu for sl in slices for mu in sl]
@@ -185,7 +196,9 @@ def suite_specialization(cfg: VerifyConfig) -> SuiteReport:
         m = m_max
         d = min(2, d_max)
         e = monomials.stable_degree(d, m, q)
-        for sset in _subsets(monomials.reduced_monomials(m, q, d)):
+        # each level slice and the level-lv cube of its specialization
+        targets = _reduced_count(m, q, [e]) + sum(q ** lv for lv in range(m + 1))
+        for sset in _subsets(monomials.reduced_monomials(m, q, d), targets, cfg, rep.suite):
             for lv in range(m + 1):
                 restr = monomials.restrict_level(sset, lv, q)
                 lhs = len(monomials.footprint(restr, e, q, m, lv))
@@ -216,13 +229,17 @@ def suite_expander(cfg: VerifyConfig) -> SuiteReport:
     nxt = rep.check("next-to-top slice only loses footprint (all degrees)")
     low = rep.check("sub-stable degrees scanned for contrast")
     drops = 0
-    for sset in _subsets(monomials.reduced_monomials(m, q, d)):
+    stable = (estar, estar + 1, estar + 2)
+    # before and after: whole footprints from d on, top two slices when stable
+    targets = 2 * (_reduced_count(m, q, range(d, estar + 3))
+                   + _reduced_count(m, q, stable, m) + _reduced_count(m, q, stable, m - 1))
+    for sset in _subsets(monomials.reduced_monomials(m, q, d), targets, cfg, rep.suite):
         image = monomials.expand(sset, q)
         inj.case(len(image) == len(sset)
                  and all(monomials.is_reduced(mu, q) for mu in image)
                  and sorted(map(sum, image)) == sorted(map(sum, sset)),
                  {"set": _names(sset), "image": _names(image)})
-        for e in (estar, estar + 1, estar + 2):
+        for e in stable:
             before = monomials.footprint(sset, e, q, m)
             after = monomials.footprint(image, e, q, m)
             grow.case(len(before) <= len(after), {"e": e, "set": _names(sset),
@@ -247,28 +264,35 @@ def suite_clements_lindstrom(cfg: VerifyConfig) -> SuiteReport:
     step = rep.check("one-step shadows of lex segments are minimal and lex-initial")
     iterated = rep.check("iterated shadows keep lex segments extremal up to the cube top")
     for q in qs:
+        top = lv * (q - 1)
         for d in range(d_max + 1):
-            for tset in _subsets(monomials.hypercube_slice(lv, q, d, "exact")):
+            # tset and its segment: four slice tests one degree up, then per
+            # degree to the top four slice tests and two whole-cube footprints
+            targets = 4 * len(monomials.hypercube_slice(lv, q, d + 1)) + sum(
+                4 * len(monomials.hypercube_slice(lv, q, e)) + 2 * q ** lv
+                for e in range(d, top + 1))
+            for tset in _subsets(monomials.hypercube_slice(lv, q, d, "exact"),
+                                 targets, cfg, rep.suite):
                 seg = monomials.hypercube_lex_segment(lv, q, d, len(tset), "exact")
-                sh_seg = monomials.hypercube_shadow(seg, lv, q, ("==", d + 1))
-                sh_t = monomials.hypercube_shadow(tset, lv, q, ("==", d + 1))
+                sh_seg = monomials.hypercube_shadow(seg, lv, q, d + 1)
+                sh_t = monomials.hypercube_shadow(tset, lv, q, d + 1)
                 prefix = monomials.hypercube_lex_segment(lv, q, d + 1,
                                                          len(sh_t), "exact") \
                     if len(sh_t) <= len(monomials.hypercube_slice(lv, q, d + 1, "exact")) else None
                 contained = prefix is not None and set(sh_seg) <= set(prefix)
-                fp_ok = (len(monomials.hypercube_footprint(tset, lv, q, ("==", d + 1)))
-                         <= len(monomials.hypercube_footprint(seg, lv, q, ("==", d + 1))))
+                fp_ok = (len(monomials.hypercube_footprint(tset, lv, q, d + 1))
+                         <= len(monomials.hypercube_footprint(seg, lv, q, d + 1)))
                 step.case(contained and fp_ok, {"q": q, "d": d, "set": _names(tset)})
-                for e in range(d, lv * (q - 1) + 1):
-                    sh_seg_e = monomials.hypercube_shadow(seg, lv, q, ("==", e))
-                    sh_t_e = monomials.hypercube_shadow(tset, lv, q, ("==", e))
+                for e in range(d, top + 1):
+                    sh_seg_e = monomials.hypercube_shadow(seg, lv, q, e)
+                    sh_t_e = monomials.hypercube_shadow(tset, lv, q, e)
                     pool = monomials.hypercube_slice(lv, q, e, "exact")
                     pre = monomials.hypercube_lex_segment(lv, q, e, len(sh_t_e), "exact") \
                         if len(sh_t_e) <= len(pool) else None
                     ok = (pre is not None and set(sh_seg_e) <= set(pre)
                           and len(sh_seg_e) <= len(sh_t_e)
-                          and len(monomials.hypercube_footprint(tset, lv, q, ("==", e)))
-                          <= len(monomials.hypercube_footprint(seg, lv, q, ("==", e)))
+                          and len(monomials.hypercube_footprint(tset, lv, q, e))
+                          <= len(monomials.hypercube_footprint(seg, lv, q, e))
                           and len(monomials.hypercube_footprint(tset, lv, q))
                           <= len(monomials.hypercube_footprint(seg, lv, q)))
                     iterated.case(ok, {"q": q, "d": d, "e": e, "set": _names(tset)})
@@ -287,7 +311,7 @@ def suite_wei(cfg: VerifyConfig) -> SuiteReport:
         # no hypercube monomial has degree above the cube top l(q-1)
         for d in range(min(d_max, lv * (q - 1)) + 1):
             pool = monomials.hypercube_slice(lv, q, d, "at_most")
-            for tset in _subsets(pool):
+            for tset in _subsets(pool, 2 * q ** lv, cfg, rep.suite):
                 seg = monomials.hypercube_lex_segment(lv, q, d, len(tset), "at_most")
                 wei.case(len(monomials.hypercube_footprint(tset, lv, q))
                          <= len(monomials.hypercube_footprint(seg, lv, q)),
@@ -306,7 +330,7 @@ def suite_wei(cfg: VerifyConfig) -> SuiteReport:
                 down = monomials.hypercube_slice(lv, q, d - 1, "at_most")
                 for rho in range(len(down) + 1):
                     seg = monomials.hypercube_lex_segment(lv, q, d - 1, rho, "at_most")
-                    sh = monomials.hypercube_shadow(seg, lv, q, ("==", d))
+                    sh = monomials.hypercube_shadow(seg, lv, q, d)
                     want = monomials.hypercube_lex_segment(lv, q, d, len(sh), "exact")
                     comp.case(sorted(sh) == sorted(want) and (rho == 0 or bool(sh)),
                               {"q": q, "d": d, "rho": rho})
@@ -321,7 +345,8 @@ def suite_affinecomb(cfg: VerifyConfig) -> SuiteReport:
     check = rep.check("segment-union of matching shape has the larger footprint")
     for q in qs:
         for d in range(1, d_max + 1):
-            for tset in _subsets(monomials.hypercube_slice(lv, q, d, "at_most")):
+            for tset in _subsets(monomials.hypercube_slice(lv, q, d, "at_most"),
+                                 2 * q ** lv, cfg, rep.suite):
                 top = [mu for mu in tset if sum(mu) == d]
                 u = set(monomials.hypercube_lex_segment(lv, q, d, len(top), "exact"))
                 u |= set(monomials.hypercube_lex_segment(lv, q, d - 1,

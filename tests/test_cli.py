@@ -1,6 +1,7 @@
 """Command line behavior: payloads, formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -197,6 +198,26 @@ def test_verify_wei_stops_at_cube_top(capsys):
                            "--m-max", "1", "--d-max", "3", "--l", "2")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_verify_subset_walk_refused_over_budget(capsys):
+    # the degree-2 slice of the level-3 cube over F_3 has 10 members: 2^10
+    # subsets times 2 * 27 cube targets exceed the budget before any is walked
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "wei", "--q", "3", "--l", "3",
+                             "--d-max", "3", "--budget", "1000")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert "wei subset walk: estimated cost 55296 exceeds budget 1000" in err
+
+
+@pytest.mark.parametrize("suite", ["footprint-decomposition", "specialization", "expander",
+                                   "clements-lindstrom", "wei", "affinecomb"])
+def test_verify_subset_walks_charge_the_budget(capsys, suite):
+    code, _, err = run_cli(capsys, "verify", "--suite", suite, "--budget", "1")
+    assert code == 2
+    assert f"refused: {suite} subset walk" in err
 
 
 def assert_unknown_suite_exits_2(capsys, suites):

@@ -5,7 +5,7 @@ import pytest
 
 from footprint_lab.errors import (BadEncoding, CapExceeded, DivisionByZero,
                                   NotPrimePower)
-from footprint_lab.gf import enumerate_field, field_arith, make_field
+from footprint_lab.gf import make_field
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -50,6 +50,9 @@ def test_f4_multiplication_table():
     assert f.mul(3, 3) == 2
     assert f.mul(2, 3) == 1
     assert f.add(2, 3) == 1
+    # characteristic 2: subtraction is addition, every element is its own negative
+    assert f.sub(2, 3) == 1 and f.neg(3) == 3
+    assert f.div(1, 2) == f.inv(2) == 3
     for a in (1, 2, 3):
         assert f.pow(a, 3) == 1
 
@@ -120,24 +123,6 @@ def test_bad_encodings():
     for bad in (-1, 5, 3.0, "3", True):
         with pytest.raises(BadEncoding):
             f.add(bad, 1)
-
-
-def test_field_arith_dispatch():
-    f = make_field(4)
-    assert field_arith(f, "add", 2, 3) == 1
-    assert field_arith(f, "sub", 2, 3) == f.sub(2, 3)
-    assert field_arith(f, "mul", 2, 2) == 3
-    assert field_arith(f, "div", 1, 2) == f.inv(2)
-    assert field_arith(f, "neg", 3) == 3  # characteristic 2
-    assert field_arith(f, "inv", 3) == f.inv(3)
-    assert field_arith(f, "pow", 2, 2) == 3
-    with pytest.raises(ValueError):
-        field_arith(f, "gcd", 2, 3)
-
-
-def test_enumerate_field():
-    assert enumerate_field(make_field(7)) == list(range(7))
-    assert enumerate_field(make_field(9)) == list(range(9))
 
 
 def test_tables_are_numpy():

@@ -186,10 +186,42 @@ def test_hypercube_shadow_footprint():
     fp = mo.hypercube_footprint(tset, lv, q)
     assert sorted(sh + fp) == sorted(mo.hypercube(lv, q))
     assert len(sh) == 6  # multiples of x0 in the 3x3 grid
-    assert mo.hypercube_shadow(tset, lv, q, ("==", 2)) == [(2, 0), (1, 1)]
-    assert mo.hypercube_footprint(tset, lv, q, ("<=", 1)) == [(0, 1), (0, 0)]
-    with pytest.raises(ValueError):
-        mo.hypercube_shadow(tset, lv, q, ("!=", 2))
+    assert mo.hypercube_shadow(tset, lv, q, 2) == [(2, 0), (1, 1)]
+    assert mo.hypercube_footprint(tset, lv, q, 2) == [(0, 2)]
+
+
+def _desc(tuples):
+    return tuple(sorted(tuples, reverse=True))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+@pytest.mark.parametrize("m", (0, 1, 2, 3))
+def test_enumerations_match_product_constructions(q, m):
+    """Every enumeration read off bounded_tuples equals the construction it
+    replaced: itertools.product, filtered, sorted descending."""
+    top = (m + 1) * (q - 1)  # the top degree of the widest cube below
+    for lv in range(m + 2):
+        cube = list(itertools.product(range(q), repeat=lv))
+        assert mo.hypercube(lv, q) == _desc(cube)
+        for deg in range(top + 2):
+            assert mo.hypercube_slice(lv, q, deg, "exact") == _desc(
+                t for t in cube if sum(t) == deg)
+            assert mo.hypercube_slice(lv, q, deg, "at_most") == _desc(
+                t for t in cube if sum(t) <= deg)
+    for deg in range(top + 2):
+        assert mo.all_monomials(m, deg) == _desc(
+            t for t in itertools.product(range(deg + 1), repeat=m + 1) if sum(t) == deg)
+        whole = []
+        for lv in range(m + 1):
+            if lv == 0:
+                part = [(deg,) + (0,) * m]
+            else:
+                part = [head + (deg - sum(head),) + (0,) * (m - lv)
+                        for head in itertools.product(range(q), repeat=lv)
+                        if deg - sum(head) >= 1]
+            assert mo.reduced_monomials(m, q, deg, lv) == _desc(part)
+            whole += part
+        assert mo.reduced_monomials(m, q, deg) == _desc(whole)
 
 
 def test_lex_segment_reduced():

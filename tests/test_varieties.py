@@ -118,6 +118,15 @@ def test_brute_force_max_footprint():
         va.brute_force_max_footprint(3, 2, 2, 3, 6, budget=5)
 
 
+def test_max_footprint_budget_prices_the_mask_scan():
+    # k = 6 pool masks over 13 targets, then C(6, 3) = 20 subsets of 3 ORs
+    want = va.brute_force_max_footprint(3, 2, 2, 3, 6)
+    assert va.brute_force_max_footprint(3, 2, 2, 3, 6, budget=138) == want
+    with pytest.raises(BudgetExceeded) as info:
+        va.brute_force_max_footprint(3, 2, 2, 3, 6, budget=137)
+    assert info.value.estimated == 138
+
+
 def test_max_footprint_witness_is_earliest_maximizer():
     tied = 0
     for r, d, m, q, e in ((2, 2, 2, 3, 3), (3, 2, 2, 3, 6), (2, 3, 2, 4, 5),
