@@ -24,9 +24,8 @@ from .monomials import (all_monomials, bounded_tuples, divides, expand, footprin
                         parse_monomial, reduce_monomial, reduced_monomials,
                         restrict_level, shadow, sort_desc, specialize,
                         stable_degree)
-from .polys import (AffinePolynomial, HomogeneousPolynomial, evaluate_poly,
-                    make_affine_poly, make_poly, monomial_poly,
-                    poly_from_json, reduce_polynomial)
+from .polys import (AffinePolynomial, HomogeneousPolynomial, make_affine_poly,
+                    make_poly, monomial_poly, reduce_polynomial)
 from .varieties import (SearchResult, WitnessResult, affine_points,
                         brute_force_affine_max_points,
                         brute_force_max_footprint, brute_force_max_points,

@@ -138,80 +138,48 @@ def _cmd_tables(args) -> tuple[dict, int]:
 
 def _cmd_search(args) -> tuple[dict, int]:
     start = time.perf_counter()
+    q, d, m, r = args.q, args.d, args.m, args.r
     report = {"schema": 1, "command": "search", "kind": args.kind,
-              "q": args.q, "d": args.d, "m": args.m, "r": args.r}
-    code = 0
+              "q": q, "d": d, "m": m, "r": r}
     if args.kind == "er":
         res = varieties.brute_force_max_points(
-            args.r, args.d, args.m, args.q, mode=args.mode,
-            budget=args.budget, workers=args.workers)
-        known = predicted = status = None
-        if args.mode == "reduced":
-            if args.d <= args.q:
-                predicted, status = formulas.conjectured_max_points(
-                    args.r, args.d, args.m, args.q)
-            known = formulas.known_max_points(args.r, args.d, args.m, args.q)
-        matches = None if known is None else res.value == known
-        report.update({
-            "mode": args.mode,
-            "value": res.value,
-            "matches_formula": matches,
-            "formula": {"known": known, "predicted": predicted, "status": status},
-            "witness": [p.to_json() for p in res.witness],
-            "subspaces_enumerated": res.enumerated,
-        })
-        code = 1 if matches is False else 0
+            r, d, m, q, mode=args.mode, budget=args.budget, workers=args.workers)
+        # only for d <= q does the reduced basis span every degree-d form, so
+        # above q the scan misses the forms vanishing on all of P^m
+        settled = args.mode == "reduced" and d <= q
+        predicted, status = formulas.conjectured_max_points(r, d, m, q) if settled \
+            else (None, None)
+        formula = {"known": formulas.known_max_points(r, d, m, q) if settled else None,
+                   "predicted": predicted, "status": status}
+        report["mode"] = args.mode
+        value, witness = res.value, [p.to_json() for p in res.witness]
     elif args.kind == "affine":
         res = varieties.brute_force_affine_max_points(
-            args.r, args.d, args.m, args.q,
-            budget=args.budget, workers=args.workers)
-        target = formulas.affine_max_points(args.r, args.d, args.m, args.q)
-        report.update({
-            "value": res.value,
-            "matches_formula": res.value == target,
-            "formula": {"known": target},
-            "witness": [p.to_json() for p in res.witness],
-            "subspaces_enumerated": res.enumerated,
-        })
-        code = 0 if res.value == target else 1
+            r, d, m, q, budget=args.budget, workers=args.workers)
+        formula = {"known": formulas.affine_max_points(r, d, m, q)}
+        value, witness = res.value, [p.to_json() for p in res.witness]
     elif args.kind == "footprint":
-        e = args.e if args.e is not None else monomials.stable_degree(args.d, args.m, args.q)
-        res = varieties.brute_force_max_footprint(
-            args.r, args.d, args.m, args.q, e, budget=args.budget)
-        stable = e >= monomials.stable_degree(args.d, args.m, args.q)
-        target = formulas.projective_upper_bound(args.r, args.d, args.m, args.q) \
-            if stable and args.d < args.q else None
-        matches = None if target is None else res.value == target
-        report.update({
-            "e": e,
-            "value": res.value,
-            "matches_formula": matches,
-            "formula": {"known": target},
-            "witness": [monomials.format_monomial(mon) for mon in res.witness],
-            "subspaces_enumerated": res.enumerated,
-        })
-        code = 1 if matches is False else 0
+        stable = monomials.stable_degree(d, m, q)
+        e = stable if args.e is None else args.e
+        res = varieties.brute_force_max_footprint(r, d, m, q, e, budget=args.budget)
+        formula = {"known": formulas.projective_upper_bound(r, d, m, q)
+                   if e >= stable and d < q else None}
+        report["e"] = e
+        value, witness = res.value, [monomials.format_monomial(mon) for mon in res.witness]
     else:  # ghw
-        prm = codes.build_prm(args.d, args.m, args.q)
-        res = codes.ghw_exhaustive(prm, args.r, budget=args.budget, workers=args.workers)
-        known = formulas.known_max_points(args.r, args.d, args.m, args.q) \
-            if args.d < args.q else None
-        target = None if known is None else prm.n - known
-        floor = formulas.ghw_lower_bound(args.r, args.d, args.m, args.q) \
-            if args.d < args.q else None
-        matches = None if target is None else res.weight == target
-        if matches is None and floor is not None and res.weight < floor:
-            matches = False
-        report.update({
-            "value": res.weight,
-            "matches_formula": matches,
-            "formula": {"known": target, "lower_bound": floor},
-            "witness": [[int(c) for c in row] for row in res.rows],
-            "subspaces_enumerated": res.enumerated,
-        })
-        code = 1 if matches is False else 0
-    report["elapsed"] = round(time.perf_counter() - start, 6)
-    return report, code
+        prm = codes.build_prm(d, m, q)
+        res = codes.ghw_exhaustive(prm, r, budget=args.budget, workers=args.workers)
+        points = formulas.known_max_points(r, d, m, q) if d < q else None
+        formula = {"known": None if points is None else prm.n - points,
+                   "lower_bound": formulas.ghw_lower_bound(r, d, m, q) if d < q else None}
+        value, witness = res.weight, [[int(c) for c in row] for row in res.rows]
+    matches = None if formula["known"] is None else value == formula["known"]
+    if formula.get("lower_bound") is not None and value < formula["lower_bound"]:
+        matches = False
+    report.update({"value": value, "matches_formula": matches, "formula": formula,
+                   "witness": witness, "subspaces_enumerated": res.enumerated,
+                   "elapsed": round(time.perf_counter() - start, 6)})
+    return report, 1 if matches is False else 0
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
@@ -219,15 +187,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
     cfg = VerifyConfig(qs=args.q, m_max=args.m_max, d_max=args.d_max,
                        level=args.l, quick=args.quick,
                        budget=args.budget, workers=args.workers)
-    reports = run_suites(args.suite, cfg)
-    suites = []
-    for rep in reports:
-        suites.append({
-            "suite": rep.suite,
-            "passed": rep.passed,
-            "cases": rep.cases,
-            "checks": [dataclasses.asdict(c) for c in rep.checks],
-        })
+    suites = [{"suite": rep.suite, "passed": rep.passed, "cases": rep.cases,
+               "checks": [dataclasses.asdict(c) for c in rep.checks]}
+              for rep in run_suites(args.suite, cfg)]
     passed = all(s["passed"] for s in suites)
     report = {"schema": 1, "command": "verify", "passed": passed, "suites": suites,
               "elapsed": round(time.perf_counter() - start, 6)}
@@ -240,13 +202,10 @@ def _render_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = _csv.writer(buf)
     if report["command"] == "tables":
-        writer.writerow(["r", "H_r", "K_r", "e_r_value", "status",
-                         "macaulay_tuple", "i", "j"])
+        writer.writerow(report["rows"][0].keys())
         for row in report["rows"]:
-            writer.writerow([row["r"], row["H_r"], row["K_r"], row["e_r_value"],
-                             row["status"],
-                             " ".join(str(x) for x in row["macaulay_tuple"]),
-                             row["i"], row["j"]])
+            writer.writerow([" ".join(map(str, v)) if isinstance(v, list) else v
+                             for v in row.values()])
     elif report["command"] == "verify":
         writer.writerow(["suite", "check", "passed", "cases", "note"])
         for suite in report["suites"]:
@@ -305,16 +264,14 @@ def render(report: dict, fmt: str) -> str:
     return _render_pretty(report)
 
 
+_COMMANDS = {"tables": _cmd_tables, "search": _cmd_search, "verify": _cmd_verify}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "tables":
-            report, code = _cmd_tables(args)
-        elif args.command == "search":
-            report, code = _cmd_search(args)
-        else:
-            report, code = _cmd_verify(args)
+        report, code = _COMMANDS[args.command](args)
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatch
 from .gf import FieldSpec
-from .monomials import Monomial, format_monomial, parse_monomial, reduce_monomial
+from .monomials import Monomial, format_monomial, reduce_monomial
 
 
 class _SparseTerms:
@@ -38,12 +38,6 @@ class HomogeneousPolynomial(_SparseTerms):
     m: int
     deg: int
     terms: tuple[tuple[Monomial, int], ...]
-
-    def leading_monomial(self) -> Monomial:
-        """Largest monomial in descending lex; undefined on the zero polynomial."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
 
     def coeff(self, mon: Monomial) -> int:
         for nu, c in self.terms:
@@ -91,14 +85,6 @@ def monomial_poly(m: int, mon: Monomial) -> HomogeneousPolynomial:
     return make_poly(m, sum(mon), {tuple(mon): 1})
 
 
-def poly_from_json(m: int, deg: int, data: list) -> HomogeneousPolynomial:
-    coeffs: dict[Monomial, int] = {}
-    for item in data:
-        mon = parse_monomial(item["monomial"], m)
-        coeffs[mon] = coeffs.get(mon, 0) + int(item["coeff"])
-    return make_poly(m, deg, coeffs)
-
-
 def reduce_polynomial(poly: HomogeneousPolynomial, field: FieldSpec) -> HomogeneousPolynomial:
     """Reduce every term projectively and aggregate coefficients.
 
@@ -110,17 +96,3 @@ def reduce_polynomial(poly: HomogeneousPolynomial, field: FieldSpec) -> Homogene
         red = reduce_monomial(mon, field.q)
         agg[red] = field.add(agg.get(red, 0), c)
     return make_poly(poly.m, poly.deg, agg)
-
-
-def evaluate_poly(poly: HomogeneousPolynomial, field: FieldSpec, point) -> int:
-    """Value at a point of F_q^{m+1} (tuple of element encodings)."""
-    if len(point) != poly.m + 1:
-        raise AmbientMismatch(f"point has {len(point)} coordinates, ambient wants {poly.m + 1}")
-    total = 0
-    for mon, c in poly.terms:
-        v = c
-        for x, a in zip(point, mon):
-            if a:
-                v = field.mul(v, field.pow(x, a))
-        total = field.add(total, v)
-    return total

@@ -74,14 +74,17 @@ class VerifyConfig:
         return self.level if (self.level is not None and not self.quick) else 2
 
 
-def _subsets(pool, targets: int, cfg: VerifyConfig, suite: str):
-    """Every subset of pool, smallest first, in combinations order.  Before
-    the first one, 2^|pool| x targets is charged to the budget, targets
-    being the monomials that one subset's shadows and footprints test."""
-    pool = list(pool)
-    runtime.charge_budget(2 ** len(pool) * targets, cfg.budget, f"{suite} subset walk")
-    for r in range(len(pool) + 1):
-        yield from itertools.combinations(pool, r)
+def _subsets(walks, cfg: VerifyConfig, suite: str):
+    """(key, subset) for every subset of each (key, pool, targets) walk,
+    pool by pool, smallest subsets first in combinations order.  Every pool
+    is charged to the budget, in order, before the first subset of any:
+    2^|pool| x targets, targets being the monomials that one subset's
+    shadows and footprints test."""
+    walks = [(key, list(pool), targets) for key, pool, targets in walks]
+    for _, pool, targets in walks:
+        runtime.charge_budget(2 ** len(pool) * targets, cfg.budget, f"{suite} subset walk")
+    return ((key, sset) for key, pool, _ in walks
+            for r in range(len(pool) + 1) for sset in itertools.combinations(pool, r))
 
 
 def _names(mons):
@@ -141,31 +144,32 @@ def suite_footprint_decomposition(cfg: VerifyConfig) -> SuiteReport:
     part = rep.check("footprint is the disjoint union of its level slices")
     sliced = rep.check("level slice depends only on the level-restricted generators")
     stab = rep.check("footprint size is constant from the stable degree on")
+    m = m_max
+    walks = []
     for q in qs:
-        m = m_max
         # degree-0 generated sets are only {} and {1}; the stable degree
         # d + m(q-1) is meaningful for forms, so d starts at 1
         for d in range(1, d_max + 1):
             estar = monomials.stable_degree(d, m, q)
             stable = (estar, estar + 1, estar + 2)
             # the whole footprint, its level slices and the restricted slices
-            targets = 3 * _reduced_count(m, q, stable)
-            for sset in _subsets(monomials.reduced_monomials(m, q, d), targets, cfg, rep.suite):
-                sizes = []
-                for e in stable:
-                    whole = monomials.footprint(sset, e, q, m)
-                    slices = [monomials.footprint(sset, e, q, m, lv) for lv in range(m + 1)]
-                    flat = [mu for sl in slices for mu in sl]
-                    part.case(sorted(flat) == sorted(whole) and len(flat) == len(whole),
-                              {"q": q, "d": d, "e": e, "set": _names(sset)})
-                    for lv in range(m + 1):
-                        restr = monomials.restrict_level(sset, lv, q)
-                        sliced.case(monomials.footprint(restr, e, q, m, lv) == slices[lv],
-                                    {"q": q, "d": d, "e": e, "level": lv,
-                                     "set": _names(sset)})
-                    sizes.append(len(whole))
-                stab.case(len(set(sizes)) == 1,
-                          {"q": q, "d": d, "set": _names(sset), "sizes": sizes})
+            walks.append(((q, d, stable), monomials.reduced_monomials(m, q, d),
+                          3 * _reduced_count(m, q, stable)))
+    for (q, d, stable), sset in _subsets(walks, cfg, rep.suite):
+        sizes = []
+        for e in stable:
+            whole = monomials.footprint(sset, e, q, m)
+            slices = [monomials.footprint(sset, e, q, m, lv) for lv in range(m + 1)]
+            flat = [mu for sl in slices for mu in sl]
+            part.case(sorted(flat) == sorted(whole) and len(flat) == len(whole),
+                      {"q": q, "d": d, "e": e, "set": _names(sset)})
+            for lv in range(m + 1):
+                restr = monomials.restrict_level(sset, lv, q)
+                sliced.case(monomials.footprint(restr, e, q, m, lv) == slices[lv],
+                            {"q": q, "d": d, "e": e, "level": lv, "set": _names(sset)})
+            sizes.append(len(whole))
+        stab.case(len(set(sizes)) == 1,
+                  {"q": q, "d": d, "set": _names(sset), "sizes": sizes})
     return rep
 
 
@@ -192,19 +196,21 @@ def suite_specialization(cfg: VerifyConfig) -> SuiteReport:
                                  {"q": q, "d": d, "e": e, "level": lv,
                                   "mu": format_monomial(mu), "nu": format_monomial(nu)})
 
+    m = m_max
+    d = min(2, d_max)
+    walks = []
     for q in qs:
-        m = m_max
-        d = min(2, d_max)
         e = monomials.stable_degree(d, m, q)
         # each level slice and the level-lv cube of its specialization
-        targets = _reduced_count(m, q, [e]) + sum(q ** lv for lv in range(m + 1))
-        for sset in _subsets(monomials.reduced_monomials(m, q, d), targets, cfg, rep.suite):
-            for lv in range(m + 1):
-                restr = monomials.restrict_level(sset, lv, q)
-                lhs = len(monomials.footprint(restr, e, q, m, lv))
-                rhs = len(monomials.hypercube_footprint(monomials.specialize(restr, lv), lv, q))
-                fp.case(lhs == rhs, {"q": q, "d": d, "e": e, "level": lv,
-                                     "set": _names(sset), "slice": lhs, "affine": rhs})
+        walks.append(((q, e), monomials.reduced_monomials(m, q, d),
+                      _reduced_count(m, q, [e]) + sum(q ** lv for lv in range(m + 1))))
+    for (q, e), sset in _subsets(walks, cfg, rep.suite):
+        for lv in range(m + 1):
+            restr = monomials.restrict_level(sset, lv, q)
+            lhs = len(monomials.footprint(restr, e, q, m, lv))
+            rhs = len(monomials.hypercube_footprint(monomials.specialize(restr, lv), lv, q))
+            fp.case(lhs == rhs, {"q": q, "d": d, "e": e, "level": lv,
+                                 "set": _names(sset), "slice": lhs, "affine": rhs})
 
     for q in (3, 4):
         for m in range(1, 3):
@@ -233,7 +239,8 @@ def suite_expander(cfg: VerifyConfig) -> SuiteReport:
     # before and after: whole footprints from d on, top two slices when stable
     targets = 2 * (_reduced_count(m, q, range(d, estar + 3))
                    + _reduced_count(m, q, stable, m) + _reduced_count(m, q, stable, m - 1))
-    for sset in _subsets(monomials.reduced_monomials(m, q, d), targets, cfg, rep.suite):
+    for _, sset in _subsets([(None, monomials.reduced_monomials(m, q, d), targets)],
+                            cfg, rep.suite):
         image = monomials.expand(sset, q)
         inj.case(len(image) == len(sset)
                  and all(monomials.is_reduced(mu, q) for mu in image)
@@ -263,6 +270,7 @@ def suite_clements_lindstrom(cfg: VerifyConfig) -> SuiteReport:
     lv = cfg.hypercube_level()
     step = rep.check("one-step shadows of lex segments are minimal and lex-initial")
     iterated = rep.check("iterated shadows keep lex segments extremal up to the cube top")
+    walks = []
     for q in qs:
         top = lv * (q - 1)
         for d in range(d_max + 1):
@@ -271,31 +279,30 @@ def suite_clements_lindstrom(cfg: VerifyConfig) -> SuiteReport:
             targets = 4 * len(monomials.hypercube_slice(lv, q, d + 1)) + sum(
                 4 * len(monomials.hypercube_slice(lv, q, e)) + 2 * q ** lv
                 for e in range(d, top + 1))
-            for tset in _subsets(monomials.hypercube_slice(lv, q, d, "exact"),
-                                 targets, cfg, rep.suite):
-                seg = monomials.hypercube_lex_segment(lv, q, d, len(tset), "exact")
-                sh_seg = monomials.hypercube_shadow(seg, lv, q, d + 1)
-                sh_t = monomials.hypercube_shadow(tset, lv, q, d + 1)
-                prefix = monomials.hypercube_lex_segment(lv, q, d + 1,
-                                                         len(sh_t), "exact") \
-                    if len(sh_t) <= len(monomials.hypercube_slice(lv, q, d + 1, "exact")) else None
-                contained = prefix is not None and set(sh_seg) <= set(prefix)
-                fp_ok = (len(monomials.hypercube_footprint(tset, lv, q, d + 1))
-                         <= len(monomials.hypercube_footprint(seg, lv, q, d + 1)))
-                step.case(contained and fp_ok, {"q": q, "d": d, "set": _names(tset)})
-                for e in range(d, top + 1):
-                    sh_seg_e = monomials.hypercube_shadow(seg, lv, q, e)
-                    sh_t_e = monomials.hypercube_shadow(tset, lv, q, e)
-                    pool = monomials.hypercube_slice(lv, q, e, "exact")
-                    pre = monomials.hypercube_lex_segment(lv, q, e, len(sh_t_e), "exact") \
-                        if len(sh_t_e) <= len(pool) else None
-                    ok = (pre is not None and set(sh_seg_e) <= set(pre)
-                          and len(sh_seg_e) <= len(sh_t_e)
-                          and len(monomials.hypercube_footprint(tset, lv, q, e))
-                          <= len(monomials.hypercube_footprint(seg, lv, q, e))
-                          and len(monomials.hypercube_footprint(tset, lv, q))
-                          <= len(monomials.hypercube_footprint(seg, lv, q)))
-                    iterated.case(ok, {"q": q, "d": d, "e": e, "set": _names(tset)})
+            walks.append(((q, d, top), monomials.hypercube_slice(lv, q, d, "exact"), targets))
+    for (q, d, top), tset in _subsets(walks, cfg, rep.suite):
+        seg = monomials.hypercube_lex_segment(lv, q, d, len(tset), "exact")
+        sh_seg = monomials.hypercube_shadow(seg, lv, q, d + 1)
+        sh_t = monomials.hypercube_shadow(tset, lv, q, d + 1)
+        prefix = monomials.hypercube_lex_segment(lv, q, d + 1, len(sh_t), "exact") \
+            if len(sh_t) <= len(monomials.hypercube_slice(lv, q, d + 1, "exact")) else None
+        contained = prefix is not None and set(sh_seg) <= set(prefix)
+        fp_ok = (len(monomials.hypercube_footprint(tset, lv, q, d + 1))
+                 <= len(monomials.hypercube_footprint(seg, lv, q, d + 1)))
+        step.case(contained and fp_ok, {"q": q, "d": d, "set": _names(tset)})
+        for e in range(d, top + 1):
+            sh_seg_e = monomials.hypercube_shadow(seg, lv, q, e)
+            sh_t_e = monomials.hypercube_shadow(tset, lv, q, e)
+            pool = monomials.hypercube_slice(lv, q, e, "exact")
+            pre = monomials.hypercube_lex_segment(lv, q, e, len(sh_t_e), "exact") \
+                if len(sh_t_e) <= len(pool) else None
+            ok = (pre is not None and set(sh_seg_e) <= set(pre)
+                  and len(sh_seg_e) <= len(sh_t_e)
+                  and len(monomials.hypercube_footprint(tset, lv, q, e))
+                  <= len(monomials.hypercube_footprint(seg, lv, q, e))
+                  and len(monomials.hypercube_footprint(tset, lv, q))
+                  <= len(monomials.hypercube_footprint(seg, lv, q)))
+            iterated.case(ok, {"q": q, "d": d, "e": e, "set": _names(tset)})
     return rep
 
 
@@ -307,33 +314,33 @@ def suite_wei(cfg: VerifyConfig) -> SuiteReport:
     wei = rep.check("mixed-degree lex prefixes maximize the full footprint")
     shadow = rep.check("shadow of a lex prefix is the terminal up-set with the positional size")
     comp = rep.check("degree-step shadow of a lex prefix is a lex segment (nonempty when fed)")
-    for q in qs:
-        # no hypercube monomial has degree above the cube top l(q-1)
-        for d in range(min(d_max, lv * (q - 1)) + 1):
-            pool = monomials.hypercube_slice(lv, q, d, "at_most")
-            for tset in _subsets(pool, 2 * q ** lv, cfg, rep.suite):
-                seg = monomials.hypercube_lex_segment(lv, q, d, len(tset), "at_most")
-                wei.case(len(monomials.hypercube_footprint(tset, lv, q))
-                         <= len(monomials.hypercube_footprint(seg, lv, q)),
-                         {"q": q, "d": d, "set": _names(tset)})
-            for rho in range(1, len(pool) + 1):
-                seg = monomials.hypercube_lex_segment(lv, q, d, rho, "at_most")
-                alpha = seg[-1]
-                sh = monomials.hypercube_shadow(seg, lv, q)
-                upset = [mu for mu in monomials.hypercube(lv, q) if mu >= alpha]
-                below = sum(a * q ** (lv - 1 - i) for i, a in enumerate(alpha))
-                ok = (sorted(sh) == sorted(upset)
-                      and len(sh) == q**lv - below
-                      and sorted(set(sh) & set(pool)) == sorted(seg))
-                shadow.case(ok, {"q": q, "d": d, "rho": rho})
-            if d >= 1:
-                down = monomials.hypercube_slice(lv, q, d - 1, "at_most")
-                for rho in range(len(down) + 1):
-                    seg = monomials.hypercube_lex_segment(lv, q, d - 1, rho, "at_most")
-                    sh = monomials.hypercube_shadow(seg, lv, q, d)
-                    want = monomials.hypercube_lex_segment(lv, q, d, len(sh), "exact")
-                    comp.case(sorted(sh) == sorted(want) and (rho == 0 or bool(sh)),
-                              {"q": q, "d": d, "rho": rho})
+    # no hypercube monomial has degree above the cube top l(q-1)
+    walks = [((q, d), monomials.hypercube_slice(lv, q, d, "at_most"), 2 * q ** lv)
+             for q in qs for d in range(min(d_max, lv * (q - 1)) + 1)]
+    for (q, d), tset in _subsets(walks, cfg, rep.suite):
+        seg = monomials.hypercube_lex_segment(lv, q, d, len(tset), "at_most")
+        wei.case(len(monomials.hypercube_footprint(tset, lv, q))
+                 <= len(monomials.hypercube_footprint(seg, lv, q)),
+                 {"q": q, "d": d, "set": _names(tset)})
+    for (q, d), pool, _ in walks:
+        for rho in range(1, len(pool) + 1):
+            seg = monomials.hypercube_lex_segment(lv, q, d, rho, "at_most")
+            alpha = seg[-1]
+            sh = monomials.hypercube_shadow(seg, lv, q)
+            upset = [mu for mu in monomials.hypercube(lv, q) if mu >= alpha]
+            below = sum(a * q ** (lv - 1 - i) for i, a in enumerate(alpha))
+            ok = (sorted(sh) == sorted(upset)
+                  and len(sh) == q**lv - below
+                  and sorted(set(sh) & set(pool)) == sorted(seg))
+            shadow.case(ok, {"q": q, "d": d, "rho": rho})
+        if d >= 1:
+            down = monomials.hypercube_slice(lv, q, d - 1, "at_most")
+            for rho in range(len(down) + 1):
+                seg = monomials.hypercube_lex_segment(lv, q, d - 1, rho, "at_most")
+                sh = monomials.hypercube_shadow(seg, lv, q, d)
+                want = monomials.hypercube_lex_segment(lv, q, d, len(sh), "exact")
+                comp.case(sorted(sh) == sorted(want) and (rho == 0 or bool(sh)),
+                          {"q": q, "d": d, "rho": rho})
     return rep
 
 
@@ -343,18 +350,16 @@ def suite_affinecomb(cfg: VerifyConfig) -> SuiteReport:
     qs, _, d_max = cfg.grid((2, 3), None, 2)
     lv = cfg.hypercube_level()
     check = rep.check("segment-union of matching shape has the larger footprint")
-    for q in qs:
-        for d in range(1, d_max + 1):
-            for tset in _subsets(monomials.hypercube_slice(lv, q, d, "at_most"),
-                                 2 * q ** lv, cfg, rep.suite):
-                top = [mu for mu in tset if sum(mu) == d]
-                u = set(monomials.hypercube_lex_segment(lv, q, d, len(top), "exact"))
-                u |= set(monomials.hypercube_lex_segment(lv, q, d - 1,
-                                                         len(tset) - len(top), "at_most"))
-                ok = (len(u) == len(tset)
-                      and len(monomials.hypercube_footprint(tset, lv, q))
-                      <= len(monomials.hypercube_footprint(u, lv, q)))
-                check.case(ok, {"q": q, "d": d, "set": _names(tset)})
+    walks = [((q, d), monomials.hypercube_slice(lv, q, d, "at_most"), 2 * q ** lv)
+             for q in qs for d in range(1, d_max + 1)]
+    for (q, d), tset in _subsets(walks, cfg, rep.suite):
+        top = [mu for mu in tset if sum(mu) == d]
+        u = set(monomials.hypercube_lex_segment(lv, q, d, len(top), "exact"))
+        u |= set(monomials.hypercube_lex_segment(lv, q, d - 1, len(tset) - len(top), "at_most"))
+        ok = (len(u) == len(tset)
+              and len(monomials.hypercube_footprint(tset, lv, q))
+              <= len(monomials.hypercube_footprint(u, lv, q)))
+        check.case(ok, {"q": q, "d": d, "set": _names(tset)})
     return rep
 
 

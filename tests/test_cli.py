@@ -1,11 +1,12 @@
 """Command line behavior: payloads, formats, exit codes, determinism."""
 
+import csv
 import json
 import time
 
 import pytest
 
-from footprint_lab import cli
+from footprint_lab import cli, verify
 from footprint_lab import formulas as fo
 
 
@@ -122,6 +123,62 @@ def test_search_ghw(capsys):
     assert data["matches_formula"] is True
 
 
+def test_search_er_above_q_has_no_known_formula(capsys):
+    # for d > q the reduced basis leaves out the forms vanishing on all of
+    # P^1(F_3), so the reduced scan is not the all-forms maximum e_r
+    code, out, _ = run_cli(capsys, "search", "er", "--q", "3", "--d", "4",
+                           "--m", "1", "--r", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 2
+    assert data["formula"] == {"known": None, "predicted": None, "status": None}
+    assert data["matches_formula"] is None
+
+
+def test_ghw_below_lower_bound_exits_1(capsys, monkeypatch):
+    # with no settled weight, the lower bound alone decides the comparison
+    monkeypatch.setattr(cli.formulas, "known_max_points", lambda *a, **k: None)
+    monkeypatch.setattr(cli.formulas, "ghw_lower_bound", lambda *a, **k: 999)
+    code, out, _ = run_cli(capsys, "search", "ghw", "--q", "3", "--d", "2",
+                           "--m", "1", "--r", "1")
+    assert code == 1
+    data = json.loads(out)
+    assert data["formula"] == {"known": None, "lower_bound": 999}
+    assert data["matches_formula"] is False
+
+
+_SEARCH_KEYS = ["schema", "command", "kind", "q", "d", "m", "r", "value", "matches_formula",
+                "formula", "witness", "subspaces_enumerated", "elapsed"]
+
+
+@pytest.mark.parametrize("kind, extra", [("er", "mode"), ("affine", None),
+                                         ("footprint", "e"), ("ghw", None)])
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+def test_search_formats(capsys, kind, extra, fmt):
+    argv = ["search", kind, "--q", "3", "--d", "2", "--m", "2", "--r", "2"]
+    report = json.loads(run_cli(capsys, *argv)[1])
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    keys = list(_SEARCH_KEYS)
+    if extra:
+        keys.insert(keys.index("value"), extra)
+    if fmt == "csv":
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == ["key", "value"]
+        assert [row[0] for row in rows[1:]] == keys
+        cells = dict(rows[1:])
+        assert json.loads(cells["witness"]) == report["witness"]
+        assert json.loads(cells["formula"]) == report["formula"]
+    else:
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines if not line.startswith("    ")] == keys
+        at = lines.index("witness:") + 1
+        assert report["witness"]
+        assert lines[at:at + len(report["witness"])] == [
+            f"    {item}" for item in report["witness"]]
+        assert lines[at + len(report["witness"])].startswith("subspaces_enumerated: ")
+
+
 def test_search_rank_error(capsys):
     code, _, err = run_cli(capsys, "search", "er", "--q", "3", "--d", "2",
                            "--m", "2", "--r", "9")
@@ -210,6 +267,21 @@ def test_verify_subset_walk_refused_over_budget(capsys):
     assert code == 2
     assert out == ""
     assert "wei subset walk: estimated cost 55296 exceeds budget 1000" in err
+
+
+def test_verify_subset_walks_priced_before_any_walk(capsys, monkeypatch):
+    # the degree <= 3 pool (17 members) is refused before the cheaper
+    # degree <= 2 pools of the same suite are walked
+    calls = []
+    footprint = verify.monomials.hypercube_footprint
+    monkeypatch.setattr(verify.monomials, "hypercube_footprint",
+                        lambda *a, **k: calls.append(a) or footprint(*a, **k))
+    code, out, err = run_cli(capsys, "verify", "--suite", "wei", "--q", "3", "--l", "3",
+                             "--d-max", "3", "--budget", "1000000")
+    assert code == 2
+    assert out == ""
+    assert "wei subset walk: estimated cost 7077888 exceeds budget 1000000" in err
+    assert calls == []
 
 
 @pytest.mark.parametrize("suite", ["footprint-decomposition", "specialization", "expander",
