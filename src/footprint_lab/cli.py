@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="footprint degree (footprint only; default: stable degree)")
     sea.add_argument("--mode", choices=("reduced", "all"), default="reduced",
                      help="monomial basis for the er scan")
-    sea.add_argument("--budget", type=int, default=None)
+    sea.add_argument("--budget", type=_positive_int, default=None)
     sea.add_argument("--workers", type=_positive_int, default=1)
     _output_flags(sea)
 
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--l", type=_positive_int, default=None, help="hypercube level")
     ver.add_argument("--quick", action="store_true",
                      help="pin the stock acceptance grids, ignoring grid flags")
-    ver.add_argument("--budget", type=int, default=None)
+    ver.add_argument("--budget", type=_positive_int, default=None)
     ver.add_argument("--workers", type=_positive_int, default=1)
     _output_flags(ver)
     return parser

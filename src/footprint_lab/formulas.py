@@ -128,7 +128,7 @@ def known_family(r: int, d: int, m: int, q: int) -> tuple[int, str] | None:
 
     - "linear": d = 1 (value p_{m-r});
     - "line": m = 1, d < q (value d - r + 1);
-    - "tail": r = C(m+d, d) - s with s <= d (value s);
+    - "tail": r = C(m+d, d) - s with s <= d <= q (value s);
     - "boundary": r at distance t <= d-1 below a block boundary, d < q
       (value p_{m-i} + t);
     - "small-rank": r <= C(m+2, 2), d < q (value from the rank split).
@@ -140,7 +140,7 @@ def known_family(r: int, d: int, m: int, q: int) -> tuple[int, str] | None:
         return projective_count(m - r, q), "linear"
     if m == 1 and d < q:
         return d - r + 1, "line"
-    if top - r <= d:
+    if top - r <= d <= q:
         return top - r, "tail"
     if d < q:
         for i in range(1, m + 2):

@@ -1,16 +1,18 @@
 """Table-driven arithmetic for small finite fields F_q, q = p^e <= 64.
 
-Elements are encoded as integers 0..q-1.  For prime q the encoding is the
-residue itself; for q = p^e the base-p digits of the encoding are the
-coefficients of a degree-<e polynomial over F_p (digit k = coefficient of
-x^k), taken modulo the lexicographically smallest monic irreducible of
-degree e.  Consequently 0 is the zero element and 1 the unit, and addition
-in characteristic 2 is bitwise XOR of encodings.
+Every field is built the same way, as F_p[x]/(f) with f monic of degree
+e: an element is encoded as the integer 0..q-1 whose base-p digits are
+its coefficients (digit k = coefficient of x^k), and f is the
+lexicographically smallest monic irreducible of degree e, found as the
+first candidate whose multiplication table has no zero divisors.  For
+prime q (e = 1, f = x) the encoding is the residue itself.  Consequently
+0 is the zero element and 1 the unit, and addition in characteristic 2
+is bitwise XOR of encodings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +37,6 @@ class FieldSpec:
     inv_table: np.ndarray  # (q,), entry 0 is a placeholder, never valid
     log_table: np.ndarray  # (q,), log of 0 is a placeholder
     exp_table: np.ndarray  # (q-1,), exp_table[k] = generator**k
-    _pow_cache: dict = field(default_factory=dict, repr=False)
 
     def add(self, a: int, b: int) -> int:
         self.check(a), self.check(b)
@@ -83,13 +84,9 @@ class FieldSpec:
 
     def pow_table(self, max_exp: int) -> np.ndarray:
         """(q, max_exp+1) table of a**k, with 0**0 = 1."""
-        have = self._pow_cache.get("t")
-        if have is not None and have.shape[1] > max_exp:
-            return have[:, : max_exp + 1]
-        t = np.ones((self.q, max_exp + 1), dtype=np.uint8)
-        for k in range(1, max_exp + 1):
-            t[:, k] = self.mul_table[t[:, k - 1], np.arange(self.q)]
-        self._pow_cache["t"] = t
+        k = np.arange(max_exp + 1)
+        t = self.exp_table[self.log_table[:, None] * k % (self.q - 1)]
+        t[0] = k == 0
         return t
 
 
@@ -111,60 +108,17 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return q, 1  # q itself prime
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return tuple(out)
-
-def _poly_mod(a: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # mod is monic
-    a = list(a)
-    dm = len(mod) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    return tuple(a[:dm])
-
-
-def _monic_polys(deg: int, p: int):
-    """Monic degree-deg polynomials over F_p, most significant coefficient varying slowest."""
-    for n in range(p**deg):
-        coeffs = tuple((n // p**k) % p for k in range(deg)) + (1,)
-        yield coeffs
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for div in _monic_polys(d, p):
-            if not any(_poly_mod(poly, div, p)):
-                return False
-    return True
-
-
-def _smallest_irreducible(e: int, p: int) -> tuple[int, ...]:
-    for cand in _monic_polys(e, p):
-        if _is_irreducible(cand, p):
-            return cand
-    raise AssertionError("unreachable: irreducibles exist in every degree")
-
-
-def _encode(coeffs: tuple[int, ...], p: int) -> int:
-    return sum(c * p**k for k, c in enumerate(coeffs))
-
-
-def _decode(a: int, p: int, e: int) -> tuple[int, ...]:
-    return tuple((a // p**k) % p for k in range(e))
-
-
 @lru_cache(maxsize=None)
 def make_field(q: int) -> FieldSpec:
-    """Build (and cache) the arithmetic tables for F_q.
+    """Build (and cache) the arithmetic tables for F_q = F_p[x]/(f).
+
+    Every q = p^e takes the same path, prime fields included as e = 1.
+    Elements are their base-p digit vectors, addition is digit-wise mod p
+    and multiplication is the digit convolution reduced by a monic f of
+    degree e.  f is the first monic candidate, in lex order of its
+    coefficients from the top, whose multiplication table has no zero
+    divisors: F_p[x]/(f) is a field exactly when f is irreducible, so the
+    table itself proves it.  For e = 1 that is f = x, reported as ().
 
     Raises NotPrimePower for composite non-prime-power sizes and
     CapExceeded for q above the supported cap.
@@ -173,50 +127,37 @@ def make_field(q: int) -> FieldSpec:
     if q > FIELD_SIZE_CAP:
         raise CapExceeded(f"q = {q} exceeds the cap of {FIELD_SIZE_CAP}")
 
-    idx = np.arange(q)
-    if e == 1:
-        modulus: tuple[int, ...] = ()
-        add = (idx[:, None] + idx[None, :]) % q
-        mul = (idx[:, None] * idx[None, :]) % q
-    else:
-        modulus = _smallest_irreducible(e, p)
-        digits = np.array([_decode(a, p, e) for a in range(q)])  # (q, e)
-        sums = (digits[:, None, :] + digits[None, :, :]) % p
-        pows = p ** np.arange(e)
-        add = (sums * pows).sum(axis=2)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            pa = _decode(a, p, e)
-            for b in range(a, q):
-                prod = _poly_mod(_poly_mul(pa, _decode(b, p, e), p), modulus, p)
-                mul[a, b] = mul[b, a] = _encode(prod, p)
-
-    add = add.astype(np.uint8)
-    mul = mul.astype(np.uint8)
-    neg = np.array([int(np.nonzero(add[a] == 0)[0][0]) for a in range(q)], dtype=np.uint8)
-    inv = np.zeros(q, dtype=np.uint8)
-    for a in range(1, q):
-        inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
-
-    generator = 0
-    for g in range(1, q):
-        x, order = g, 1
-        while x != 1:
-            x = int(mul[x, g])
-            order += 1
-        if order == q - 1:
-            generator = g
+    pows = p ** np.arange(e)
+    digits = np.arange(q)[:, None] // pows % p  # (q, e), digit k = coefficient of x^k
+    add = ((digits[:, None, :] + digits[None, :, :]) % p @ pows).astype(np.uint8)
+    conv = np.zeros((q, q, 2 * e - 1), dtype=np.int64)  # digit convolution a * b
+    for i in range(e):
+        conv[:, :, i:i + e] += digits[:, None, i, None] * digits[None, :, :]
+    for low in digits:  # candidate moduli f = x^e + sum_k low_k x^k, in lex order
+        modulus = np.append(low, 1)
+        prod = conv.copy()
+        for k in range(2 * e - 2, e - 1, -1):  # cancel x^k with x^(k-e) * f
+            prod[:, :, k - e:k + 1] -= prod[:, :, k, None] * modulus
+        mul = (prod[:, :, :e] % p @ pows).astype(np.uint8)
+        if (mul[1:, 1:] != 0).all():  # no zero divisors: f is irreducible
             break
+    neg = np.argmax(add == 0, axis=1).astype(np.uint8)
+    inv = np.argmax(mul == 1, axis=1).astype(np.uint8)  # row 0 has no 1: entry 0
 
+    # the first element of order q - 1; each candidate overwrites the
+    # powers it reaches, so the generator's walk leaves exp/log complete
     exp = np.zeros(q - 1, dtype=np.uint8)
     log = np.zeros(q, dtype=np.int64)
-    x = 1
-    for k in range(q - 1):
-        exp[k] = x
-        log[x] = k
-        x = int(mul[x, generator])
+    for generator in range(1, q):
+        x = 1
+        for k in range(q - 1):
+            exp[k], log[x] = x, k
+            x = int(mul[x, generator])
+            if x == 1:
+                break
+        if k == q - 2:
+            break
 
-    return FieldSpec(q=q, p=p, e=e, modulus=modulus, generator=generator,
-                     add_table=add, mul_table=mul, neg_table=neg, inv_table=inv,
-                     log_table=log, exp_table=exp)
-
+    return FieldSpec(q=q, p=p, e=e, modulus=tuple(modulus.tolist()) if e > 1 else (),
+                     generator=generator, add_table=add, mul_table=mul, neg_table=neg,
+                     inv_table=inv, log_table=log, exp_table=exp)

@@ -209,6 +209,18 @@ def test_budget_env_invalid(capsys, monkeypatch):
     assert "FOOTPRINT_LAB_BUDGET" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ("search", "er", "--q", "3", "--d", "2", "--m", "2", "--r", "1"),
+    ("verify", "--suite", "macaulay"),
+])
+def test_budget_flag_below_one_exit_2(capsys, argv, value):
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--budget", value])
+    assert info.value.code == 2
+    assert f"--budget: must be >= 1, got {value}" in capsys.readouterr().err
+
+
 def test_search_worker_determinism(capsys, tmp_path):
     a, b = tmp_path / "w1.json", tmp_path / "w3.json"
     assert run_cli(capsys, "search", "er", "--q", "3", "--d", "2", "--m", "2",

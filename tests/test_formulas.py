@@ -117,6 +117,27 @@ def test_tail_family_survives_large_degree():
     assert fo.conjectured_max_points(3, 2, 1, 2) == (0, "conjectural")
 
 
+def test_tail_family_needs_degree_at_most_q():
+    # above q some forms vanish on all of P^m, so s <= d points no longer
+    # impose independent conditions: s = 4 cannot be counted on the 3
+    # points of P^1(F_2)
+    assert fo.known_max_points(1, 4, 1, 2) is None
+    above = 0
+    for q in (2, 3, 4, 5):
+        for m in (1, 2, 3):
+            for d in range(2, q + 4):
+                top = fo.binom(m + d, d)
+                for r in range(max(1, top - d), top + 1):
+                    hit = fo.known_family(r, d, m, q)
+                    if d > q:
+                        assert hit is None, (r, d, m, q)
+                        above += top - r > fo.projective_count(m, q)
+                    elif not (m == 1 and d < q):  # the line family comes first there
+                        assert hit == (top - r, "tail"), (r, d, m, q)
+    # tail values the old rule claimed above the point count p_m
+    assert above == 12
+
+
 def test_macaulay_tuple():
     assert fo.macaulay_tuple(5, 2) == (1, 1)
     assert fo.macaulay_tuple(0, 3) == (-1, -1, -1)

@@ -1,5 +1,7 @@
 """Field arithmetic: table construction and the field axioms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,99 @@ def test_tables_are_numpy():
     # the exp/log tables invert each other away from 0
     for a in range(1, 8):
         assert int(f.exp_table[int(f.log_table[a])]) == a
+
+
+def _prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        e += 1
+    return (p, e) if rest == 1 else None
+
+
+PRIME_POWERS = [q for q in range(2, 65) if _prime_power(q)]
+
+
+def _rem(a, f, p):
+    """Remainder of the coefficient list a (x^k at index k) by the monic f."""
+    a, top = list(a), len(f) - 1
+    for i in range(len(a) - 1, top - 1, -1):
+        c = a[i]
+        for j, fj in enumerate(f):
+            a[i - top + j] = (a[i - top + j] - c * fj) % p
+    return a[:top]
+
+
+def _monic(deg, p):
+    return [list(low) + [1] for low in itertools.product(range(p), repeat=deg)]
+
+
+def _irreducible(f, p):
+    """Every monic g of degree 1..deg/2 leaves a nonzero remainder."""
+    deg = len(f) - 1
+    return all(any(_rem(f, g, p)) for k in range(1, deg // 2 + 1) for g in _monic(k, p))
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_tables_match_naive_reference(q):
+    p, e = _prime_power(q)
+    f = make_field(q)
+    assert (f.q, f.p, f.e) == (q, p, e)
+    if e == 1:
+        assert f.modulus == ()
+        modulus = [0, 1]  # F_p = F_p[x]/(x)
+    else:
+        # lex-smallest comparing the top coefficient first, by trial division
+        modulus = min((g for g in _monic(e, p) if _irreducible(g, p)), key=lambda g: g[::-1])
+        assert f.modulus == tuple(modulus)
+
+    def digits(a):
+        return [a // p**k % p for k in range(e)]
+
+    def encode(coeffs):
+        return sum(c * p**k for k, c in enumerate(coeffs))
+
+    for a in range(q):
+        for b in range(q):
+            da, db = digits(a), digits(b)
+            assert f.add_table[a, b] == encode([(x + y) % p for x, y in zip(da, db)])
+            prod = [0] * (2 * e - 1)
+            for i, x in enumerate(da):
+                for j, y in enumerate(db):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            assert f.mul_table[a, b] == encode(_rem(prod, modulus, p))
+
+    # the generator is the smallest element of full order, and exp/log
+    # invert each other
+    def order(g):
+        x, n = g, 1
+        while x != 1:
+            x, n = int(f.mul_table[x, g]), n + 1
+        return n
+
+    assert all(order(g) < q - 1 for g in range(1, f.generator))
+    powers = [1]
+    for _ in range(q - 2):
+        powers.append(int(f.mul_table[powers[-1], f.generator]))
+    assert sorted(powers) == list(range(1, q))
+    assert int(f.mul_table[powers[-1], f.generator]) == 1
+    assert f.exp_table.tolist() == powers
+    assert all(f.log_table[a] == k for k, a in enumerate(powers))
+
+    for k in (0, 1, 2, q - 1, q, q + 1):
+        table = f.pow_table(k)
+        assert table.shape == (q, k + 1)
+        assert table.tolist() == [[f.pow(a, j) for j in range(k + 1)] for a in range(q)]
+
+    # field axioms on the full q^3 cube
+    add, mul = f.add_table.astype(np.int64), f.mul_table.astype(np.int64)
+    idx = np.arange(q)
+    a, b, c = idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    assert (add == add.T).all() and (mul == mul.T).all()
+    assert (add[:, 0] == idx).all() and (mul[:, 1] == idx).all() and (mul[:, 0] == 0).all()
+    assert (add[idx, f.neg_table] == 0).all()
+    assert (mul[idx[1:], f.inv_table[1:]] == 1).all()
+    assert (add[add[a, b], c] == add[a, add[b, c]]).all()
+    assert (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
+    assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
