@@ -27,6 +27,14 @@ from .runtime import run_chunks, split_chunks
 # kernel's largest intermediate.
 BLOCK_CAP = 2**14
 
+# Least priced work (subspaces x points) that a process pool has to take
+# off a scan's largest chunk before one is started.  On a 2-CPU x86-64
+# machine a fork pool costs about 0.016 s more than running the same
+# chunks in-process, and one process scans about 1.2e8 subspace-points
+# per second, so below 0.016 s x 1.2e8 the pool cannot win back its
+# start-up.
+POOL_MIN_WORK = 2 * 10**6
+
 
 def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product over F_q; a has shape (..., k), b has shape (k, n)."""
@@ -57,9 +65,11 @@ def row_reduce(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, list[int]
         if swap != pr:
             m[[pr, swap]] = m[[swap, pr]]
         m[pr] = mul[inv[m[pr, c]], m[pr]]
-        for rr in range(rows):
-            if rr != pr and m[rr, c]:
-                m[rr] = add[m[rr], mul[neg[m[rr, c]], m[pr]]]
+        # clear column c from every other row at once: row rr gains
+        # -m[rr, c] times the pivot row
+        factor = neg[m[:, c]]
+        factor[pr] = 0
+        m = add[m, mul[factor[:, None], m[pr]]]
         pivots.append(c)
         pr += 1
     return m, pivots
@@ -232,12 +242,20 @@ def scan_max_zero_columns(q: int, mat: np.ndarray, r: int, workers: int = 1, bou
     result does not depend on the worker count.  bounds, when given, is a
     per-pivot-pattern ceiling; subspaces exceeding it are reported as
     violations (combo id, global index, count, ceiling).
+
+    The patterns are split into `workers` chunks either way, but a pool
+    is started only when the chunks other than the largest, whose work
+    is all a pool can take off one process, are priced above
+    POOL_MIN_WORK; otherwise the chunks run in-process, in order.
     """
     k = mat.shape[0]
     combos = pivot_patterns(k, r)
     sizes = [pattern_size(c, k, q) for c in combos]
     offsets = list(itertools.accumulate(sizes, initial=0))
     chunked = split_chunks(list(range(len(combos))), workers)
+    work = [sum(sizes[i] for i in ids) * mat.shape[1] for ids in chunked]
+    if sum(work) - max(work, default=0) <= POOL_MIN_WORK:
+        workers = 1
     args = [(q, mat, k,
              [combos[i] for i in ids], ids, [offsets[i] for i in ids],
              None if bounds is None else [bounds[i] for i in ids])

@@ -141,11 +141,32 @@ def all_monomials(m: int, deg: int) -> tuple[Monomial, ...]:
     return bounded_tuples(m + 1, deg, deg, "exact")
 
 
-def _multiples(mons, targets, divisible: bool = True) -> list[Monomial]:
+# Shadow masks by target list, then by generator; filled by _shadow_masks
+# and kept for the run.
+_MASKS: dict[tuple[Monomial, ...], dict[Monomial, int]] = {}
+
+
+def _shadow_masks(mons, targets: tuple[Monomial, ...]) -> list[int]:
+    """One int bitmask per member of mons, bit t set when it divides
+    targets[t].  A mask is built once per (member, target list) and then
+    read from the cache; targets are hashed once per call."""
+    cache = _MASKS.setdefault(targets, {})
+    out = []
+    for nu in mons:
+        nu = tuple(nu)
+        mask = cache.get(nu)
+        if mask is None:
+            mask = cache[nu] = sum(1 << t for t, mu in enumerate(targets) if divides(nu, mu))
+        out.append(mask)
+    return out
+
+
+def _multiples(mons, targets: tuple[Monomial, ...], divisible: bool = True) -> list[Monomial]:
     """Members of targets that are (or with divisible=False, are not)
-    multiples of some member of mons, in target order."""
-    mons = list(mons)
-    return [mu for mu in targets if any(divides(nu, mu) for nu in mons) == divisible]
+    multiples of some member of mons, in target order: the OR of the
+    members' shadow masks, read off bit by bit."""
+    hit = reduce(operator.or_, _shadow_masks(mons, targets), 0)
+    return [mu for t, mu in enumerate(targets) if (hit >> t & 1) == divisible]
 
 
 def shadow(mons, deg: int, q: int, m: int, lv: int | None = None) -> list[Monomial]:
@@ -162,14 +183,13 @@ def footprint_sizes(pool, r: int, deg: int, q: int, m: int) -> list[int]:
     """len(footprint(c, deg, q, m)) for every r-subset c of pool, in
     itertools.combinations order, from shadow masks.
 
-    Each pool monomial gets one int bitmask over reduced_monomials(m, q,
-    deg): bit t is set when it divides the t-th target.  A subset's shadow
-    is the OR of its members' masks and its footprint is the complement,
-    so its size is the number of targets minus the popcount.  This costs
-    len(pool) * len(target) divisibility tests in all, not one per subset
-    and target."""
+    Each pool monomial's shadow mask over reduced_monomials(m, q, deg)
+    comes from _shadow_masks.  A subset's shadow is the OR of its members'
+    masks and its footprint is the complement, so its size is the number
+    of targets minus the popcount.  This costs at most len(pool) *
+    len(target) divisibility tests in all, not one per subset and target."""
     target = reduced_monomials(m, q, deg)
-    masks = [sum(1 << t for t, mu in enumerate(target) if divides(nu, mu)) for nu in pool]
+    masks = _shadow_masks(pool, target)
     return [len(target) - reduce(operator.or_, combo, 0).bit_count()
             for combo in itertools.combinations(masks, r)]
 

@@ -111,3 +111,53 @@ def test_scan_matches_naive_enumeration(q, k, r, n, workers):
     assert enumerated == total
     assert violations == naive_violations
     assert naive_violations  # the bounds are tight enough to be crossed
+
+
+def _reference_row_reduce(field, mat):
+    """Gauss-Jordan elimination one entry at a time with the scalar field
+    operations."""
+    m = [[int(x) for x in row] for row in mat]
+    rows, cols = len(m), (len(m[0]) if m else mat.shape[1])
+    pivots, pr = [], 0
+    for c in range(cols):
+        below = [rr for rr in range(pr, rows) if m[rr][c]]
+        if pr == rows or not below:
+            continue
+        m[pr], m[below[0]] = m[below[0]], m[pr]
+        inv = field.inv(m[pr][c])
+        m[pr] = [field.mul(inv, x) for x in m[pr]]
+        for rr in range(rows):
+            if rr != pr and m[rr][c]:
+                f = m[rr][c]
+                m[rr] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[rr], m[pr])]
+        pivots.append(c)
+        pr += 1
+    return np.array(m, dtype=np.uint8).reshape(rows, cols), pivots
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_row_reduce_matches_row_by_row_reference(q):
+    field = make_field(q)
+    rng = np.random.default_rng(q)
+    shapes = [(0, 0), (0, 4), (3, 0), (1, 1), (2, 7), (7, 2), (4, 4), (3, 9), (9, 3)]
+    mats = []
+    for rows, cols in shapes:
+        for _ in range(4):
+            mat = rng.integers(0, q, size=(rows, cols), dtype=np.uint8)
+            mat[rng.random((rows, cols)) < 0.4] = 0
+            mats.append(mat)
+    # zero rows, a zero matrix, and repeated and scaled rows (rank-deficient)
+    base = rng.integers(0, q, size=(3, 6), dtype=np.uint8)
+    base[:, :3] = np.eye(3, dtype=np.uint8)[::-1]  # rank 3
+    mats.append(np.zeros((4, 5), dtype=np.uint8))
+    mats.append(np.vstack([base[:1], np.zeros((2, 6), dtype=np.uint8), base[1:]]))
+    mats.append(np.vstack([base, base, field.mul_table[q - 1][base[::-1]]]))
+    mats.append(np.vstack([base[:2], field.add_table[base[0], base[1]][None]]))
+    for mat in mats:
+        got, pivots = linalg.row_reduce(field, mat)
+        want, want_pivots = _reference_row_reduce(field, mat)
+        assert got.shape == mat.shape and got.dtype == np.uint8
+        assert np.array_equal(got, want), mat
+        assert pivots == want_pivots
+        assert linalg.rank(field, mat) == len(pivots)
+    assert linalg.rank(field, mats[-1]) == 2 and linalg.rank(field, mats[-2]) == 3

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from footprint_lab.errors import BadLevel, CountOutOfRange
 from footprint_lab.gf import make_field
 from footprint_lab import monomials as mo
+from footprint_lab import verify
 
 
 def test_reduce_examples():
@@ -117,6 +118,69 @@ def test_footprint_sizes_match_footprint(data, q, m):
     e = data.draw(st.sampled_from((0, d - 1, d, estar - 1, estar, estar + 2)), label="e")
     want = [len(mo.footprint(c, e, q, m)) for c in itertools.combinations(pool, r)]
     assert mo.footprint_sizes(pool, r, e, q, m) == want
+
+
+def _naive_multiples(mons, targets, divisible=True):
+    """The targets that some member of mons divides (or, with
+    divisible=False, that none does), one exponent comparison at a time."""
+    return [mu for mu in targets
+            if any(all(a <= b for a, b in zip(nu, mu)) for nu in mons) == divisible]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), q=st.sampled_from((2, 3, 4, 5)), m=st.integers(0, 3))
+def test_shadows_and_footprints_match_naive_double_loop(data, q, m):
+    mons = data.draw(st.lists(st.tuples(*[st.integers(0, q + 1)] * (m + 1)), max_size=6),
+                     label="mons")
+    deg = data.draw(st.integers(0, m * (q - 1) + 3), label="deg")
+    for lv in (None, *range(m + 1)):
+        targets = mo.reduced_monomials(m, q, deg, lv)
+        assert mo.shadow(mons, deg, q, m, lv) == _naive_multiples(mons, targets)
+        assert mo.footprint(mons, deg, q, m, lv) == _naive_multiples(mons, targets, False)
+    lv = data.draw(st.integers(0, 3), label="lv")
+    cube_mons = [mon[:lv] + (0,) * (lv - len(mon)) for mon in mons]
+    for cube_deg in (None, *range(lv * (q - 1) + 2)):
+        targets = mo.hypercube(lv, q) if cube_deg is None else mo.hypercube_slice(lv, q, cube_deg)
+        assert mo.hypercube_shadow(cube_mons, lv, q, cube_deg) == _naive_multiples(
+            cube_mons, targets)
+        assert mo.hypercube_footprint(cube_mons, lv, q, cube_deg) == _naive_multiples(
+            cube_mons, targets, False)
+
+
+def test_mixed_ambients_raise():
+    for mons in ([(1, 0)], [(1, 0, 0), (1, 0)], [(0, 0, 0), (1, 0)]):
+        with pytest.raises(ValueError, match="different ambients"):
+            mo.shadow(mons, 2, 3, 2)
+        with pytest.raises(ValueError, match="different ambients"):
+            mo.footprint(mons, 2, 3, 2, 1)
+    with pytest.raises(ValueError, match="different ambients"):
+        mo.hypercube_shadow([(1,)], 2, 3)
+    with pytest.raises(ValueError, match="different ambients"):
+        mo.hypercube_footprint([(0, 0), (1, 0, 0)], 2, 3, 1)
+    with pytest.raises(ValueError, match="different ambients"):
+        mo.footprint_sizes([(1, 0, 0), (1, 0)], 1, 2, 3, 2)
+
+
+def test_expander_tests_each_generator_once_per_target_list(monkeypatch):
+    """suite_expander on its default grid (q = 3, m = 2, d = 2) takes at
+    most one divisibility test per pool monomial and target of each target
+    list its footprints read, however many subsets it walks."""
+    q, m, d = 3, 2, 2
+    estar = mo.stable_degree(d, m, q)
+    target_lists = {mo.reduced_monomials(m, q, e) for e in range(d, estar + 3)}
+    target_lists |= {mo.reduced_monomials(m, q, e, lv)
+                     for e in range(estar, estar + 3) for lv in (m - 1, m)}
+    bound = len(mo.reduced_monomials(m, q, d)) * sum(map(len, target_lists))
+    calls = []
+
+    def counting_divides(nu, mu):
+        calls.append(None)
+        return all(a <= b for a, b in zip(nu, mu))
+    monkeypatch.setattr(mo, "_MASKS", {}, raising=False)  # start from an empty cache
+    monkeypatch.setattr(mo, "divides", counting_divides)
+    rep = verify.suite_expander(verify.VerifyConfig())
+    assert rep.passed
+    assert 0 < len(calls) <= bound
 
 
 def test_restrict_level():

@@ -1,6 +1,8 @@
 """Worker-pool sizing, checked against a stand-in pool."""
 
-from footprint_lab import runtime
+import numpy as np
+
+from footprint_lab import codes, linalg, runtime
 
 
 class _FakePool:
@@ -66,3 +68,53 @@ def test_spawn_when_fork_is_unavailable(monkeypatch):
     assert runtime.run_chunks(len, [[1], [2, 3]], 2) == [1, 2]
     assert ctx.methods == ["spawn"]
     assert ctx.requests == [2]
+
+
+def _scan_instance():
+    """q, evaluation matrix and r of a scan whose two pivot-pattern chunks
+    both hold work, and the priced work of the smaller chunk."""
+    q, r = 3, 2
+    mat = codes.build_prm(2, 2, q).generator
+    k, n = mat.shape
+    patterns = linalg.pivot_patterns(k, r)
+    work = [sum(linalg.pattern_size(patterns[i], k, q) for i in ids) * n
+            for ids in runtime.split_chunks(list(range(len(patterns))), 2)]
+    assert len(work) == 2 and min(work) > 0
+    return q, mat, r, min(work)
+
+
+def test_small_scan_requests_no_pool(monkeypatch):
+    q, mat, r, spare = _scan_instance()
+    want = linalg.scan_max_zero_columns(q, mat, r, 1)
+    assert spare <= linalg.POOL_MIN_WORK
+    ctx = _patch(monkeypatch, 2)
+    linalg.scan_max_zero_columns(q, mat, r, 2)
+    assert ctx.requests == []
+    # the pool starts once the smaller chunk's work exceeds the constant
+    monkeypatch.setattr(linalg, "POOL_MIN_WORK", spare)
+    linalg.scan_max_zero_columns(q, mat, r, 2)
+    assert ctx.requests == []
+    monkeypatch.setattr(linalg, "POOL_MIN_WORK", spare - 1)
+    got = linalg.scan_max_zero_columns(q, mat, r, 2)
+    assert ctx.requests == [2]
+    assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2:] == want[2:]
+
+
+def test_real_pool_matches_one_worker(monkeypatch):
+    q, mat, r, _ = _scan_instance()
+    patterns = linalg.pivot_patterns(mat.shape[0], r)
+    bounds = [mat.shape[1] // 3] * len(patterns)
+    want = linalg.scan_max_zero_columns(q, mat, r, 1, bounds)
+    requested = []
+
+    def spy(fn, chunk_args, workers):
+        requested.append(workers)
+        return runtime.run_chunks(fn, chunk_args, workers)
+    monkeypatch.setattr(linalg, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(linalg, "run_chunks", spy)
+    monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
+    count, witness, enumerated, violations = linalg.scan_max_zero_columns(q, mat, r, 2, bounds)
+    assert requested == [2]
+    assert count == want[0] and np.array_equal(witness, want[1])
+    assert (enumerated, violations) == want[2:]
+    assert violations
