@@ -37,6 +37,8 @@ class FieldSpec:
     inv_table: np.ndarray  # (q,), entry 0 is a placeholder, never valid
     log_table: np.ndarray  # (q,), log of 0 is a placeholder
     exp_table: np.ndarray  # (q-1,), exp_table[k] = generator**k
+    digit_table: np.ndarray  # (q, e) float64, the base-p digits of each element
+    mul_matrices: np.ndarray  # (q, e, e) float64, digits(a * b) = digits(a) @ mul_matrices[b] mod p
 
     def add(self, a: int, b: int) -> int:
         self.check(a), self.check(b)
@@ -81,13 +83,6 @@ class FieldSpec:
     def elements(self) -> list[int]:
         """All encodings in ascending order (0 first, then 1)."""
         return list(range(self.q))
-
-    def pow_table(self, max_exp: int) -> np.ndarray:
-        """(q, max_exp+1) table of a**k, with 0**0 = 1."""
-        k = np.arange(max_exp + 1)
-        t = self.exp_table[self.log_table[:, None] * k % (self.q - 1)]
-        t[0] = k == 0
-        return t
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -158,6 +153,11 @@ def make_field(q: int) -> FieldSpec:
         if k == q - 2:
             break
 
+    # multiplying by b is F_p-linear on digits: row j of b's matrix is the
+    # digit vector of b * x^j
+    mats = digits[mul[:, pows]]  # (q, e, e)
+
     return FieldSpec(q=q, p=p, e=e, modulus=tuple(modulus.tolist()) if e > 1 else (),
                      generator=generator, add_table=add, mul_table=mul, neg_table=neg,
-                     inv_table=inv, log_table=log, exp_table=exp)
+                     inv_table=inv, log_table=log, exp_table=exp,
+                     digit_table=digits.astype(np.float64), mul_matrices=mats.astype(np.float64))

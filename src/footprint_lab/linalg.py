@@ -11,6 +11,14 @@ i varies along axis i only).  The scan kernel multiplies each row's values
 by the evaluation matrix once per block instead of once per subspace,
 packs the zero columns into uint64 masks and intersects the rows' masks
 with a broadcast AND, so a subspace costs about ceil(n/64) word operations.
+
+Every product over F_q, q = p^e, is one float64 BLAS product over F_p
+(matmul): the right factor's entries become their e x e multiplication
+matrices on base-p digits, the left factor becomes its digits, and the
+digit sums, each at most k*e*(p-1)**2 and so exact in float64, are reduced
+mod p in integer arithmetic and folded back into encodings.  The left
+factor's rows are multiplied in slices of at most PRODUCT_CAP float64
+entries per temporary.
 """
 
 from __future__ import annotations
@@ -27,24 +35,55 @@ from .runtime import run_chunks, split_chunks
 # kernel's largest intermediate.
 BLOCK_CAP = 2**14
 
+# Most float64 entries in one matmul temporary.  matmul multiplies the rows
+# of its left operand in slices, so the digit-expanded slice and its product
+# each stay at 256 KiB whatever the block size: a whole e = 3 block at once
+# nearly tripled a scan's peak memory, and slices of 2**14 to 2**16 entries,
+# which stay in a core's L2 cache, ran up to twice as fast as 2**17.
+PRODUCT_CAP = 2**15
+
 # Least priced work (subspaces x points) that a process pool has to take
 # off a scan's largest chunk before one is started.  On a 2-CPU x86-64
-# machine a fork pool costs about 0.016 s more than running the same
-# chunks in-process, and one process scans about 1.2e8 subspace-points
-# per second, so below 0.016 s x 1.2e8 the pool cannot win back its
-# start-up.
-POOL_MIN_WORK = 2 * 10**6
+# machine a fork pool costs about 0.013 s more than running the same
+# chunks in-process, and one process scans about 1.4e8 subspace-points
+# per second (median over six scans of 0.1 to 12 s, r = 1 to 3, q = 2 to
+# 7), so below 0.013 s x 1.4e8 the pool cannot win back its start-up.
+POOL_MIN_WORK = 18 * 10**5
 
 
 def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product over F_q; a has shape (..., k), b has shape (k, n)."""
-    add, mul = field.add_table, field.mul_table
+    """Product over F_q, q = p^e; a has shape (..., k), b has shape (k, n).
+
+    Multiplying by a fixed element is F_p-linear on base-p digit vectors,
+    so b becomes the (k*e, n*e) F_p matrix of its entries' e x e
+    multiplication matrices and a its (..., k*e) digits.  One float64 BLAS
+    product per slice of rows then gives every output digit as a sum of
+    k*e terms, each at most (p-1)**2: no entry exceeds k*e*(p-1)**2, far
+    below 2**53, up to which float64 is exact.  The digits are reduced mod
+    p in integer arithmetic and folded back into encodings.
+    """
+    p, e = field.p, field.e
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
-    out = np.zeros(a.shape[:-1] + (b.shape[1],), dtype=np.uint8)
-    for t in range(b.shape[0]):
-        out = add[out, mul[a[..., t][..., None], b[t][(None,) * (a.ndim - 1)]]]
-    return out
+    (k, n), lead = b.shape, a.shape[:-1]
+    wide = field.mul_matrices[b].transpose(0, 2, 1, 3).reshape(k * e, n * e)
+    rows = a.reshape(math.prod(lead), k)
+    exact = np.int32 if k * e * (p - 1) ** 2 < 2**31 else np.int64  # holds every digit sum
+    step = max(1, PRODUCT_CAP // max(k * e, n * e, 1))
+    out = np.empty((len(rows), n), dtype=np.uint8)
+    for lo in range(0, len(rows), step):
+        part = rows[lo:lo + step]
+        digits = np.take(field.digit_table, part, axis=0).reshape(len(part), k * e)
+        digits = (digits @ wide).astype(exact)
+        # numpy floor-divides by a scalar without a division instruction per
+        # entry, so this is several times faster than digits % p
+        digits -= digits // p * p
+        digits = digits.reshape(len(part), n, e)
+        value = digits[..., e - 1]
+        for j in range(e - 2, -1, -1):
+            value = value * p + digits[..., j]
+        out[lo:lo + step] = value
+    return out.reshape(lead + (n,))
 
 
 def row_reduce(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -80,23 +119,21 @@ def rank(field: FieldSpec, mat: np.ndarray) -> int:
 
 
 def eval_matrix(field: FieldSpec, mons, points) -> np.ndarray:
-    """Rows indexed by monomials, columns by points; entry = value."""
+    """Rows indexed by monomials, columns by points; entry = value.
+
+    A nonzero coordinate x is g**log(x) for the field's generator g, so a
+    monomial's value is g**(exponents . logs); it is 0 instead where a
+    positive exponent meets a zero coordinate, and 0**0 = 1.
+    """
     mons = list(mons)
     points = list(points)
     n = len(points)
     if not mons:
         return np.zeros((0, n), dtype=np.uint8)
-    coords = np.array(points, dtype=np.uint8).T  # (vars, n)
-    max_exp = max((max(mon) for mon in mons if mon), default=0)
-    pows = field.pow_table(max_exp)
-    mul = field.mul_table
-    out = np.empty((len(mons), n), dtype=np.uint8)
-    for idx, mon in enumerate(mons):
-        w = np.ones(n, dtype=np.uint8)
-        for t, a in enumerate(mon):
-            if a:
-                w = mul[w, pows[coords[t], a]]
-        out[idx] = w
+    exps = np.array(mons, dtype=np.int64)  # (monomials, vars)
+    coords = np.array(points, dtype=np.intp).reshape(n, exps.shape[1]).T  # (vars, n)
+    out = field.exp_table[exps @ field.log_table[coords] % (field.q - 1)]
+    out[(exps > 0) @ (coords == 0)] = 0
     return out
 
 

@@ -1,5 +1,6 @@
-"""The grid-block RREF walk and the packed-mask kernel, against naive
-references: the table-lookup product and an itertools odometer."""
+"""The F_q product, the evaluation matrix, the grid-block RREF walk and the
+packed-mask kernel, against naive references: the per-term table-lookup
+product, scalar powers and an itertools odometer."""
 
 import itertools
 
@@ -9,9 +10,59 @@ import pytest
 from footprint_lab import linalg
 from footprint_lab.gf import make_field
 
+# every field size the package supports, e = 1 to 6
+PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37,
+                41, 43, 47, 49, 53, 59, 61, 64]
+
+
+def _table_product(field, a, b):
+    """a @ b over F_q with one add and one mul table lookup per term."""
+    add, mul = field.add_table, field.mul_table
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    out = np.zeros(a.shape[:-1] + (b.shape[1],), dtype=np.uint8)
+    for t in range(b.shape[0]):
+        out = add[out, mul[a[..., t][..., None], b[t][(None,) * (a.ndim - 1)]]]
+    return out
+
 
 def _reference_counts(field, blocks, mat):
-    return (linalg.matmul(field, blocks, mat) == 0).all(axis=-2).sum(axis=-1)
+    return (_table_product(field, blocks, mat) == 0).all(axis=-2).sum(axis=-1)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_matmul_matches_table_product(q):
+    field = make_field(q)
+    rng = np.random.default_rng(q)
+    for k in (0, 1, 7):
+        for n in (0, 1, 63, 64, 65):
+            # the last shape holds more rows than one product slice
+            rows = 2 * (linalg.PRODUCT_CAP // max(k * field.e, n * field.e, 1)) + 1
+            for lead in ((), (3,), (2, 3, 1), (rows,)):
+                a = rng.integers(0, q, size=lead + (k,), dtype=np.uint8)
+                b = rng.integers(0, q, size=(k, n), dtype=np.uint8)
+                got = linalg.matmul(field, a, b)
+                assert got.dtype == np.uint8 and got.shape == lead + (n,)
+                assert np.array_equal(got, _table_product(field, a, b)), (k, n, lead)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 64])
+def test_eval_matrix_matches_power_loop(q):
+    field = make_field(q)
+    rng = np.random.default_rng(q)
+    points = [tuple(int(x) for x in pt) for pt in rng.integers(0, q, size=(40, 3))]
+    points += [(0, 0, 0), (0, 1, q - 1), (1, 1, 1)]
+    mons = [tuple(int(x) for x in mon) for mon in rng.integers(0, 2 * q + 2, size=(12, 3))]
+    mons += [(0, 0, 0), (q - 1, 0, 1), (q, q + 1, 0), (0, 0, 3 * q)]
+    got = linalg.eval_matrix(field, mons, points)
+    want = [[1] * len(points) for _ in mons]
+    for i, mon in enumerate(mons):
+        for j, pt in enumerate(points):
+            for x, a in zip(pt, mon):
+                want[i][j] = field.mul(want[i][j], field.pow(x, a))
+    assert got.dtype == np.uint8
+    assert got.tolist() == want
+    assert linalg.eval_matrix(field, [], points).shape == (0, len(points))
 
 
 def _sparse_matrix(rng, q, k, n):
