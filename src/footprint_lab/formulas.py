@@ -58,11 +58,13 @@ def macaulay_tuple(n: int, d: int) -> tuple[int, ...]:
     out = []
     rest = n
     for a in range(d, 0, -1):
-        s = a - 1  # C(a-1, a) = 0, the floor of the search
-        while binom(s + 1, a) <= rest:
+        # low = C(s, a), high = C(s+1, a), from the floor C(a-1, a) = 0 up
+        s, low, high = a - 1, 0, 1
+        while high <= rest:
             s += 1
+            low, high = high, high * (s + 1) // (s + 1 - a)
         out.append(s - a)
-        rest -= binom(s, a)
+        rest -= low
     assert rest == 0
     return tuple(out)
 
@@ -113,11 +115,6 @@ def rank_split(r: int, d: int, m: int) -> tuple[int, int]:
     raise AssertionError("unreachable: blocks tile the rank range")
 
 
-def _boundary_rank(i: int, d: int, m: int) -> int:
-    """sum_{a<=i} C(m+d-a, d-1): rank of the last member of the i-th block."""
-    return sum(binom(m + d - a, d - 1) for a in range(1, i + 1))
-
-
 def _predicted_value(r: int, d: int, m: int, q: int) -> int:
     i, j = rank_split(r, d, m)
     return affine_max_points(j, d - 1, m - i, q) + projective_count(m - i - 1, q)
@@ -143,8 +140,10 @@ def known_family(r: int, d: int, m: int, q: int) -> tuple[int, str] | None:
     if top - r <= d <= q:
         return top - r, "tail"
     if d < q:
+        boundary = 0  # sum_{a<=i} C(m+d-a, d-1): rank of the last member of the i-th block
         for i in range(1, m + 2):
-            t = _boundary_rank(i, d, m) - r
+            boundary += binom(m + d - i, d - 1)
+            t = boundary - r
             if 0 <= t <= d - 1:
                 return projective_count(m - i, q) + t, "boundary"
         if r <= binom(m + 2, 2):

@@ -7,10 +7,11 @@ fastest), which fixes a canonical global index for every subspace.
 
 Within one pivot pattern the rows of an RREF matrix vary independently,
 so rref_batches lays the pattern out as a grid with one axis per row (row
-i varies along axis i only).  The scan kernel multiplies each row's values
-by the evaluation matrix once per block instead of once per subspace,
-packs the zero columns into uint64 masks and intersects the rows' masks
-with a broadcast AND, so a subspace costs about ceil(n/64) word operations.
+i varies along axis i only).  The scan kernel reads row i's values off one
+line along axis i of that grid and multiplies them by the evaluation matrix
+once per block instead of once per subspace, packs the zero columns into
+uint64 masks and intersects the rows' masks with a broadcast AND, so a
+subspace costs about ceil(n/64) word operations.
 
 Every product over F_q, q = p^e, is one float64 BLAS product over F_p
 (matmul): the right factor's entries become their e x e multiplication
@@ -44,11 +45,12 @@ PRODUCT_CAP = 2**15
 
 # Least priced work (subspaces x points) that a process pool has to take
 # off a scan's largest chunk before one is started.  On a 2-CPU x86-64
-# machine a fork pool costs about 0.013 s more than running the same
-# chunks in-process, and one process scans about 1.4e8 subspace-points
-# per second (median over six scans of 0.1 to 12 s, r = 1 to 3, q = 2 to
-# 7), so below 0.013 s x 1.4e8 the pool cannot win back its start-up.
-POOL_MIN_WORK = 18 * 10**5
+# machine a fork pool costs about 0.0105 s more than running the same
+# chunks in-process, and one process scans about 2.1e8 subspace-points
+# per second (median over seven scans of 0.1 to 8 s, r = 1 to 3, q = 3 to
+# 8: 6.9e7 to 8.2e8), so below 0.0105 s x 2.1e8 the pool cannot win back
+# its start-up.
+POOL_MIN_WORK = 22 * 10**5
 
 
 def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,25 +139,19 @@ def eval_matrix(field: FieldSpec, mons, points) -> np.ndarray:
     return out
 
 
-def free_positions(pivots: tuple[int, ...], k: int) -> tuple[list[int], list[int]]:
-    """Row/column indices of the unconstrained entries of a pivot pattern."""
-    taken = set(pivots)
-    rows, cols = [], []
-    for i, p in enumerate(pivots):
-        for c in range(p + 1, k):
-            if c not in taken:
-                rows.append(i)
-                cols.append(c)
-    return rows, cols
-
-
 def pivot_patterns(k: int, r: int) -> list[tuple[int, ...]]:
     """All pivot column sets, lexicographic."""
     return list(itertools.combinations(range(k), r))
 
 
+def _free_columns(pivots: tuple[int, ...], k: int) -> list[list[int]]:
+    """Per row, the free columns of a pivot pattern: right of the row's
+    pivot and not a pivot."""
+    return [[c for c in range(p + 1, k) if c not in pivots] for p in pivots]
+
+
 def pattern_size(pivots: tuple[int, ...], k: int, q: int) -> int:
-    return q ** len(free_positions(pivots, k)[0])
+    return q ** sum(map(len, _free_columns(pivots, k)))
 
 
 def _row_values(q: int, k: int, pivot: int, cols: list[int], idx: np.ndarray) -> np.ndarray:
@@ -163,9 +159,9 @@ def _row_values(q: int, k: int, pivot: int, cols: list[int], idx: np.ndarray) ->
     base-q digits at the free columns cols (last column fastest)."""
     out = np.zeros((len(idx), k), dtype=np.uint8)
     out[:, pivot] = 1
-    if cols:
-        weights = q ** np.arange(len(cols) - 1, -1, -1, dtype=np.int64)
-        out[:, cols] = (idx[:, None] // weights) % q
+    for c in reversed(cols):
+        # a scalar divisor: numpy divides without a division instruction per entry
+        idx, out[:, c] = np.divmod(idx, q)
     return out
 
 
@@ -183,7 +179,7 @@ def rref_batches(q: int, k: int, pivots: tuple[int, ...], cap: int = BLOCK_CAP):
     cut into slices, and the axes before it take one value per block.
     """
     r = len(pivots)
-    free = [[c for c in range(p + 1, k) if c not in pivots] for p in pivots]
+    free = _free_columns(pivots, k)
     sizes = [q ** len(f) for f in free]
     tails = [math.prod(sizes[i:]) for i in range(r + 1)]  # tails[i + 1]: step of axis i
     split = next(i for i in range(r + 1) if tails[i] <= cap)
@@ -203,19 +199,6 @@ def rref_batches(q: int, k: int, pivots: tuple[int, ...], cap: int = BLOCK_CAP):
         yield sum(lo * tails[i + 1] for i, (lo, _) in enumerate(span)), block
 
 
-def _constant_axes_cut(x: np.ndarray) -> np.ndarray:
-    """x with every leading axis along which it does not vary cut to length 1."""
-    for axis in range(x.ndim - 1):
-        # one line along the axis first: it is short, and varies if the axis does
-        line = x[(0,) * axis + (slice(None),) + (0,) * (x.ndim - 2 - axis)]
-        if len(line) == 1 or (line != line[0]).any():
-            continue
-        first = x[(slice(None),) * axis + (slice(0, 1),)]
-        if (x == first).all():
-            x = first
-    return x
-
-
 def _zero_words(values: np.ndarray) -> np.ndarray:
     """The zero columns of values (..., n) as bit masks (..., ceil(n/64)) of uint64."""
     packed = np.packbits(values == 0, axis=-1, bitorder="little")
@@ -226,24 +209,28 @@ def _zero_words(values: np.ndarray) -> np.ndarray:
 
 
 def zero_column_counts(field: FieldSpec, blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """For each (r, k) slice of blocks, the number of columns of
-    slice @ mat that vanish identically.
+    """For each (r, k) matrix of an rref_batches block, of shape
+    (n_0, ..., n_{r-1}, r, k), the number of columns of matrix @ mat that
+    vanish identically.
 
-    Each row position is multiplied by mat only along the leading axes on
-    which it varies (axis i for row i of an rref_batches block), its zero
-    columns are packed into uint64 masks, and the rows' masks are
-    intersected with a broadcast AND and popcounted.
+    Row i varies along axis i only, so its n_i values are read off one
+    line along that axis and multiplied by mat once; their zero columns
+    are packed into uint64 masks, the rows' masks are intersected with a
+    broadcast AND over the block's axes, and the result is popcounted.
     """
     blocks = np.asarray(blocks, dtype=np.uint8)
-    lead = blocks.shape[:-2]
+    r = blocks.shape[-2]
+    if blocks.ndim != r + 2:
+        raise ValueError(f"block of shape {blocks.shape} is not an (n_0, ..., n_{{r-1}}, r, k) grid")
     words = None
-    for i in range(blocks.shape[-2]):
-        zeros = _zero_words(matmul(field, _constant_axes_cut(blocks[..., i, :]), mat))
+    for i in range(r):
+        line = blocks[(0,) * i + (slice(None),) + (0,) * (r - 1 - i) + (i,)]
+        zeros = _zero_words(matmul(field, line, mat))
+        zeros = zeros.reshape((1,) * i + (len(line),) + (1,) * (r - 1 - i) + zeros.shape[-1:])
         words = zeros if words is None else words & zeros
     if words is None:
-        return np.full(lead, mat.shape[1], dtype=np.int64)
-    counts = np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-    return np.broadcast_to(counts, lead).copy()
+        return np.full(blocks.shape[:-2], mat.shape[1], dtype=np.int64)
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def _zero_scan_chunk(args):

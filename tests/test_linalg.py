@@ -76,7 +76,12 @@ def _sparse_matrix(rng, q, k, n):
 def _naive_rrefs(q, k, pivots):
     """Every RREF matrix with the given pivots, free entries in odometer
     order (row by row, last position fastest)."""
-    rows, cols = linalg.free_positions(pivots, k)
+    rows, cols = [], []
+    for i, p in enumerate(pivots):
+        for c in range(p + 1, k):
+            if c not in pivots:
+                rows.append(i)
+                cols.append(c)
     for values in itertools.product(range(q), repeat=len(rows)):
         mat = np.zeros((len(pivots), k), dtype=np.uint8)
         for i, p in enumerate(pivots):
@@ -92,17 +97,30 @@ def test_kernel_matches_table_product(q, n):
     rng = np.random.default_rng(q * 1000 + n)
     k = 4
     mat = _sparse_matrix(rng, q, k, n)
-    for r in (1, 2, 3):
-        blocks = rng.integers(0, q, size=(200, r, k), dtype=np.uint8)
-        blocks[rng.random(blocks.shape) < 0.5] = 0
+    for lead in ((200,), (9, 11), (5, 1, 7)):
+        r = len(lead)
+        blocks = np.empty(lead + (r, k), dtype=np.uint8)
+        for i, n_i in enumerate(lead):
+            # random values of row i, each broadcast along axis i only
+            rows = rng.integers(0, q, size=(n_i, k), dtype=np.uint8)
+            rows[rng.random(rows.shape) < 0.5] = 0
+            blocks[..., i, :] = rows.reshape((1,) * i + (n_i,) + (1,) * (r - 1 - i) + (k,))
         got = linalg.zero_column_counts(field, blocks, mat)
-        assert got.shape == (200,)
+        assert got.shape == lead
         assert np.array_equal(got, _reference_counts(field, blocks, mat))
     for pivots in ((0, 2), (0, 1, 3), (0,)):
         for _, block in linalg.rref_batches(q, k, pivots, cap=60):
             got = linalg.zero_column_counts(field, block, mat)
             assert got.shape == block.shape[:-2]
             assert np.array_equal(got, _reference_counts(field, block, mat))
+
+
+def test_kernel_rejects_blocks_that_are_not_grids():
+    field = make_field(3)
+    mat = np.ones((4, 5), dtype=np.uint8)
+    for r in (2, 3):
+        with pytest.raises(ValueError):
+            linalg.zero_column_counts(field, np.zeros((6, r, 4), dtype=np.uint8), mat)
 
 
 @pytest.mark.parametrize("q, k, pivots, cap", [
