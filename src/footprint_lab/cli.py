@@ -116,17 +116,19 @@ def _cmd_tables(args) -> tuple[dict, int]:
     q, d, m = args.q, args.d, args.m
     if m < 1:
         raise ValueError(f"m = {m} must be >= 1")
-    if not 1 <= d < q:
-        raise ValueError(f"tables need 1 <= d < q; got d = {d}, q = {q}")
+    if not 1 <= d <= q:
+        raise ValueError(f"tables need 1 <= d <= q; got d = {d}, q = {q}")
     top = formulas.binom(m + d, d)
+    # at d = q the footprint ceiling fails and the affine pool lacks every x_i^q
+    affine_top = len(formulas.bounded_tuples(m, q - 1, d, "at_most"))
     rows = []
     for r in range(1, top + 1):
         value, status = formulas.conjectured_max_points(r, d, m, q)
         i, j = formulas.rank_split(r, d, m)
         rows.append({
             "r": r,
-            "H_r": formulas.affine_max_points(r, d, m, q),
-            "K_r": formulas.projective_upper_bound(r, d, m, q),
+            "H_r": formulas.affine_max_points(r, d, m, q) if r <= affine_top else None,
+            "K_r": formulas.projective_upper_bound(r, d, m, q) if d < q else None,
             "e_r_value": value,
             "status": status,
             "macaulay_tuple": list(formulas.macaulay_tuple(top - r, d)),
@@ -231,7 +233,8 @@ def _render_pretty(report: dict) -> str:
         lines.append("-" * len(header))
         for row in report["rows"]:
             mac = "(" + ", ".join(str(x) for x in row["macaulay_tuple"]) + ")"
-            lines.append(f"{row['r']:>4} {row['H_r']:>6} {row['K_r']:>6} "
+            h_r, k_r = ("-" if row[key] is None else row[key] for key in ("H_r", "K_r"))
+            lines.append(f"{row['r']:>4} {h_r:>6} {k_r:>6} "
                          f"{row['e_r_value']:>6}  {row['status']:<11} {mac:<14} "
                          f"{row['i']:>3} {row['j']:>3}")
     elif report["command"] == "verify":

@@ -100,16 +100,16 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
     k = len(basis)
     if not 1 <= r <= k:
         raise IndexOutOfRange(f"r = {r} outside 1..{k}")
-    pts = projective_points(m, q)
     total = formulas.gaussian_binomial(k, r, q)
-    runtime.charge_budget(total * len(pts), budget, "projective subspace scan")
+    runtime.charge_budget(total * formulas.projective_count(m, q), budget,
+                          "projective subspace scan")
     bounds = None
     if footprint_check:
         if mode != "reduced":
             raise ValueError("footprint bound check requires reduced mode")
         # combinations order is the lexicographic order of pivot_patterns
         bounds = monomials.footprint_sizes(basis, r, monomials.stable_degree(d, m, q), q, m)
-    mat = linalg.eval_matrix(field, basis, pts)
+    mat = linalg.eval_matrix(field, basis, projective_points(m, q))
     value, rref, enumerated, raw = linalg.scan_max_zero_columns(q, mat, r, workers, bounds)
     assert enumerated == total
     combos = linalg.pivot_patterns(k, r)
@@ -131,10 +131,9 @@ def brute_force_affine_max_points(r: int, d: int, m: int, q: int, *,
     k = len(basis)
     if not 1 <= r <= k:
         raise IndexOutOfRange(f"r = {r} outside 1..{k}")
-    pts = affine_points(m, q)
     total = formulas.gaussian_binomial(k, r, q)
-    runtime.charge_budget(total * len(pts), budget, "affine subspace scan")
-    mat = linalg.eval_matrix(field, basis, pts)
+    runtime.charge_budget(total * q ** m, budget, "affine subspace scan")
+    mat = linalg.eval_matrix(field, basis, affine_points(m, q))
     value, rref, enumerated, _ = linalg.scan_max_zero_columns(q, mat, r, workers)
     assert enumerated == total
     witness = tuple(make_affine_poly(m, {basis[t]: int(c) for t, c in enumerate(row) if c})
@@ -172,7 +171,6 @@ class WitnessResult:
     value: int
     predicted: int
     polys: tuple[HomogeneousPolynomial, ...]
-    method: str  # "construction" or "search"
 
 
 def _mul_linear(field: FieldSpec, g: dict, t: int, c_s: int) -> dict:
@@ -187,18 +185,16 @@ def _mul_linear(field: FieldSpec, g: dict, t: int, c_s: int) -> dict:
     return {mon: c for mon, c in out.items() if c}
 
 
-def construct_witness(r: int, d: int, m: int, q: int, *,
-                      budget: int | None = None) -> WitnessResult:
-    """A rank-r family of degree-d forms attaining the predicted maximum.
+def construct_witness(r: int, d: int, m: int, q: int) -> WitnessResult:
+    """A rank-r family of degree-d forms built to attain the predicted maximum.
 
     For the block part the family takes every degree-d monomial in
     x_0..x_{m-a+1} divisible by x_{m-a+1}, a = 1..i; the remaining j
     members are products of distinct linear factors in the first m-i
     variables (one product per leading exponent tuple), homogenized with
-    x_{m-i}.  The result is validated by counting.  If validation fails,
-    the earliest maximizer of brute_force_max_points is returned with
-    method "search" and its true value, which may exceed the prediction;
-    WitnessInvalid is raised when that maximum falls short of it.
+    x_{m-i}.  value is the family's own common-zero count, to be compared
+    with predicted; WitnessInvalid is raised when the members are
+    linearly dependent.
     """
     field = make_field(q)
     if not 1 <= d <= q:
@@ -221,13 +217,8 @@ def construct_witness(r: int, d: int, m: int, q: int, *,
                     g = _mul_linear(field, g, t, s)
             coeffs = {mon + (d - sum(mon),) + (0,) * (m - nv): c for mon, c in g.items()}
             polys.append(make_poly(m, d, coeffs))
-    counted = count_common_zeros(polys, m, q)
-    if counted == predicted and linalg.rank(field, _coefficient_matrix(polys)[0]) == len(polys):
-        return WitnessResult(value=counted, predicted=predicted,
-                             polys=tuple(polys), method="construction")
-    best = brute_force_max_points(r, d, m, q, budget=budget)
-    if best.value < predicted:
+    if linalg.rank(field, _coefficient_matrix(polys)[0]) != len(polys):
         raise WitnessInvalid(
-            f"no rank-{r} family of degree-{d} forms on P^{m}(F_{q}) attains {predicted} zeros")
-    return WitnessResult(value=best.value, predicted=predicted, polys=best.witness,
-                         method="search")
+            f"the rank-{r} family of degree-{d} forms on P^{m}(F_{q}) is linearly dependent")
+    return WitnessResult(value=count_common_zeros(polys, m, q), predicted=predicted,
+                         polys=tuple(polys))

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import codes, formulas, linalg, monomials, runtime, varieties
+from .errors import WitnessInvalid
 from .gf import make_field
 from .monomials import format_monomial
 from .polys import make_poly, reduce_polynomial
@@ -451,10 +452,13 @@ def suite_sandwich(cfg: VerifyConfig) -> SuiteReport:
     wit = rep.check("constructed witness families attain every predicted maximum")
     for q, d, m in WITNESS_GRID:
         for r in range(1, formulas.binom(m + d, d) + 1):
-            res = varieties.construct_witness(r, d, m, q, budget=cfg.budget)
-            wit.case(res.method == "construction" and res.value == res.predicted,
-                     {"q": q, "d": d, "m": m, "r": r, "method": res.method,
-                      "value": res.value, "predicted": res.predicted})
+            try:
+                res = varieties.construct_witness(r, d, m, q)
+                ok, seen = res.value == res.predicted, {"value": res.value,
+                                                        "predicted": res.predicted}
+            except WitnessInvalid as exc:
+                ok, seen = False, {"error": str(exc)}
+            wit.case(ok, {"q": q, "d": d, "m": m, "r": r, **seen})
     return rep
 
 
@@ -474,7 +478,8 @@ def suite_codes(cfg: VerifyConfig) -> SuiteReport:
         for m in range(1, m_max + 1):
             for d in range(1, m * (q - 1) + 1):
                 code = codes.build_prm(d, m, q)
-                ok = (code.k == formulas.prm_dimension(d, m, q)
+                ok = (linalg.rank(make_field(q), code.generator) == code.k
+                      and code.k == formulas.prm_dimension(d, m, q)
                       and code.k == len(monomials.reduced_monomials(m, q, d))
                       and code.n == formulas.projective_count(m, q)
                       and not (code.generator == 0).all(axis=0).any())

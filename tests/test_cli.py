@@ -30,10 +30,30 @@ def test_tables_json(capsys):
 
 
 def test_tables_rejects_large_degree(capsys):
-    code, out, err = run_cli(capsys, "tables", "--q", "3", "--d", "3", "--m", "2")
+    code, out, err = run_cli(capsys, "tables", "--q", "3", "--d", "4", "--m", "2")
     assert code == 2
     assert out == ""
-    assert "d < q" in err
+    assert "d <= q" in err
+
+
+def test_tables_degree_q(capsys):
+    """At d = q the footprint ceiling fails and the affine tuples run out
+    before the ranks do: those cells are null, and e_r is a lower bound."""
+    code, out, _ = run_cli(capsys, "tables", "--q", "3", "--d", "3", "--m", "2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 10
+    assert [row["r"] for row in rows if row["H_r"] is None] == [9, 10]
+    assert all(row["K_r"] is None for row in rows)
+    assert all(row["status"] == "conjectural" for row in rows)
+    assert rows[0]["e_r_value"] == 10
+    code, out, _ = run_cli(capsys, "tables", "--q", "3", "--d", "3", "--m", "2",
+                           "--format", "pretty")
+    assert code == 0
+    body = out.strip().split("\n")[3:]
+    assert len(body) == 10
+    assert body[0].split()[:4] == ["1", "7", "-", "10"]
+    assert body[8].split()[:4] == ["9", "-", "-", "1"]
 
 
 def test_tables_rejects_bad_m(capsys):

@@ -150,7 +150,6 @@ def test_construct_witness_matches_prediction():
     for q, d, m in ((3, 2, 2), (4, 3, 2), (5, 4, 1), (5, 3, 2)):
         for r in range(1, fo.binom(m + d, d) + 1):
             res = va.construct_witness(r, d, m, q)
-            assert res.method == "construction"
             assert res.value == res.predicted
             assert len(res.polys) == r
             assert va.count_common_zeros(res.polys, m, q) == res.value
@@ -168,35 +167,35 @@ def test_construct_witness_degenerate_ranks():
         va.construct_witness(1, 4, 2, 3)  # d > q has no construction
 
 
-def _fail_construction(monkeypatch):
-    """Make the construction's own recount miss its prediction, so
-    construct_witness falls back to the exhaustive scan."""
-    recount = va.count_common_zeros
+def test_construct_witness_reports_its_own_count(monkeypatch):
+    """A construction that misses its prediction is returned as built,
+    with its own count; no exhaustive scan stands in for it."""
+    def no_scan(*args, **kwargs):
+        raise AssertionError("construct_witness must not scan")
+    monkeypatch.setattr(va, "brute_force_max_points", no_scan)
     monkeypatch.setattr(va, "count_common_zeros", lambda *args: -1)
-    return recount
+    res = va.construct_witness(2, 2, 2, 3)
+    assert (res.value, res.predicted, len(res.polys)) == (-1, 5, 2)
 
 
-def test_construct_witness_search_fallback(monkeypatch):
-    recount = _fail_construction(monkeypatch)
-    for r in (1, 2, 4):
-        res = va.construct_witness(r, 2, 2, 3)
-        best = va.brute_force_max_points(r, 2, 2, 3)
-        assert res.method == "search"
-        assert res.value == res.predicted == best.value
-        assert res.polys == best.witness
-        assert recount(res.polys, 2, 3) == res.value
-
-
-def test_construct_witness_fallback_against_prediction(monkeypatch):
-    _fail_construction(monkeypatch)
-    best = va.brute_force_max_points(2, 2, 2, 3).value
-    monkeypatch.setattr(fo, "conjectured_max_points", lambda *args: (best + 1, "proven"))
+def test_construct_witness_dependent_family_raises(monkeypatch):
+    monkeypatch.setattr(va.linalg, "rank", lambda field, mat: mat.shape[0] - 1)
     with pytest.raises(WitnessInvalid):
         va.construct_witness(2, 2, 2, 3)
-    # a maximum above the prediction is reported as found
-    monkeypatch.setattr(fo, "conjectured_max_points", lambda *args: (best - 1, "proven"))
-    res = va.construct_witness(2, 2, 2, 3)
-    assert (res.method, res.value, res.predicted) == ("search", best, best - 1)
+
+
+@pytest.mark.parametrize("search", [va.brute_force_max_points,
+                                    va.brute_force_affine_max_points])
+def test_refused_scan_builds_no_points(monkeypatch, search):
+    """A refusal is priced from the point count alone: neither the points
+    nor the evaluation matrix are built first."""
+    def unbuilt(*args):
+        raise AssertionError("built before the budget was charged")
+    for name in ("projective_points", "affine_points"):
+        monkeypatch.setattr(va, name, unbuilt)
+    monkeypatch.setattr(va.linalg, "eval_matrix", unbuilt)
+    with pytest.raises(BudgetExceeded):
+        search(1, 2, 5, 25)
 
 
 def test_search_result_shape():

@@ -1,6 +1,6 @@
 """Verify suites report a failing check with its first counterexample."""
 
-from footprint_lab import cli, formulas
+from footprint_lab import cli, formulas, linalg
 from footprint_lab.verify import VerifyConfig, run_suites
 
 
@@ -23,3 +23,27 @@ def test_failing_check_keeps_first_counterexample(monkeypatch):
     assert broken.cases == clean.cases
 
     assert cli.main(["verify", "--suite", "macaulay"]) == 1
+
+
+def test_codes_dim_check_computes_the_rank(monkeypatch):
+    """A generator of deficient rank is a failed check with its code's
+    parameters, not an exception from the code builder."""
+    monkeypatch.setattr(linalg, "rank", lambda field, mat: mat.shape[0] - 1)
+    (rep,) = run_suites(["codes"], VerifyConfig(quick=True))
+    dim = rep.checks[0]
+    assert dim.name.startswith("generator rank matches")
+    assert dim.passed is False
+    assert dim.counterexample == {"q": 2, "m": 1, "d": 1, "k": 2}
+
+
+def test_dependent_witness_family_is_a_failed_case(monkeypatch):
+    """A construction whose members are dependent fails the witness check
+    with its parameters; the suite still reports every other check."""
+    monkeypatch.setattr(linalg, "rank", lambda field, mat: mat.shape[0] - 1)
+    (rep,) = run_suites(["sandwich"], VerifyConfig())
+    wit = rep.checks[-1]
+    assert wit.name == "constructed witness families attain every predicted maximum"
+    assert wit.passed is False
+    assert wit.counterexample["error"].endswith("is linearly dependent")
+    assert {key: wit.counterexample[key] for key in "qdmr"} == {"q": 3, "d": 1, "m": 1, "r": 1}
+    assert all(check.passed for check in rep.checks[:-1])
