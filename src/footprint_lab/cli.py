@@ -5,9 +5,9 @@ Three commands: `tables` prints the per-rank bound table for one (q, d, m),
 matching closed form, `verify` runs the named check suites.
 
 Exit codes: 0 success (and all checks passed), 1 a verification failed or
-an exhaustive value contradicts a settled formula, 2 invalid input or a
-refused budget.  JSON reports are deterministic except for the `elapsed`
-field; the worker count never changes the payload.
+an exhaustive value contradicts a settled formula, 2 invalid input, a
+refused budget or an unwritable --output.  JSON reports are deterministic
+except for `elapsed`; the worker count never changes the payload.
 """
 
 from __future__ import annotations
@@ -286,8 +286,12 @@ def main(argv=None) -> int:
         return 2
     text = render(report, args.format)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -1,21 +1,21 @@
 """Projective Reed-Muller codes and their generalized Hamming weights.
 
 The order-d code on P^m(F_q) evaluates the reduced degree-d monomials at
-the canonical point representatives; those rows are linearly independent,
-so they form a generator matrix whose row space is the full code.  The
-r-th generalized Hamming weight is the smallest support size of an
-r-dimensional subcode, found exhaustively by the canonical RREF scan.
+the canonical point representatives; those independent rows generate the
+full code.  An r-dimensional subcode evaluates r independent forms, so
+the r-th generalized Hamming weight is n - e_r, with e_r from the
+projective subspace scan (varieties.brute_force_max_points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import formulas, linalg, monomials, runtime, varieties
-from .errors import (AmbientMismatch, DependentBasis, IndexOutOfRange,
-                     OutOfRange)
+from . import formulas, linalg, monomials, varieties
+from .errors import AmbientMismatch, DependentBasis, OutOfRange
 from .gf import make_field
 from .monomials import Monomial
 from .polys import HomogeneousPolynomial, make_poly
@@ -26,26 +26,28 @@ class LinearCode:
     q: int
     n: int
     k: int
-    generator: np.ndarray  # (k, n) element encodings
     order: int             # degree of the evaluated forms
     m: int
     basis: tuple[Monomial, ...]  # monomial per generator row
 
+    @cached_property
+    def generator(self) -> np.ndarray:  # (k, n) element encodings
+        return linalg.eval_matrix(make_field(self.q), self.basis,
+                                  varieties.projective_points(self.m, self.q))
+
 
 def build_prm(d: int, m: int, q: int) -> LinearCode:
-    """Generator matrix of the order-d projective Reed-Muller code.
-
-    Allows d past m(q-1), where the code is the whole ambient space."""
+    """The order-d projective Reed-Muller code, its generator evaluated
+    on first use.  Allows d past m(q-1), where the code is the whole
+    ambient space."""
     if d < 1:
         raise OutOfRange(f"d = {d} must be >= 1")
     if m < 1:
         raise OutOfRange(f"m = {m} must be >= 1")
-    field = make_field(q)
-    basis = monomials.reduced_monomials(m, q, d)
-    pts = varieties.projective_points(m, q)
-    gen = linalg.eval_matrix(field, basis, pts)
-    return LinearCode(q=q, n=len(pts), k=len(basis), generator=gen,
-                      order=d, m=m, basis=tuple(basis))
+    make_field(q)
+    basis = tuple(monomials.reduced_monomials(m, q, d))
+    return LinearCode(q=q, n=formulas.projective_count(m, q), k=len(basis),
+                      order=d, m=m, basis=basis)
 
 
 def codeword_polynomials(code: LinearCode, rows) -> tuple[HomogeneousPolynomial, ...]:
@@ -77,19 +79,13 @@ class GhwResult:
 
 def ghw_exhaustive(code: LinearCode, r: int, *, budget: int | None = None,
                    workers: int = 1) -> GhwResult:
-    """r-th generalized Hamming weight by scanning every r-dim subcode.
-
-    Minimizing support is maximizing the common zero columns, so the scan
-    and its canonical witness come from the same engine as the variety
-    searches."""
-    if not 1 <= r <= code.k:
-        raise IndexOutOfRange(f"r = {r} outside 1..{code.k}")
-    total = formulas.gaussian_binomial(code.k, r, code.q)
-    runtime.charge_budget(total * code.n, budget, "subcode scan")
-    zeros, rref, enumerated, _ = linalg.scan_max_zero_columns(
-        code.q, code.generator, r, workers)
-    assert enumerated == total
-    return GhwResult(weight=code.n - zeros, rows=rref, enumerated=enumerated)
+    """r-th generalized Hamming weight, n - e_r; rows are the projective
+    scan's canonical witness forms as message rows over code.basis."""
+    res = varieties.brute_force_max_points(r, code.order, code.m, code.q,
+                                           budget=budget, workers=workers)
+    rows = np.array([[f.coeff(mon) for mon in code.basis] for f in res.witness],
+                    dtype=np.uint8)
+    return GhwResult(weight=code.n - res.value, rows=rows, enumerated=res.enumerated)
 
 
 def ghw_table(code: LinearCode, *, budget: int | None = None,
@@ -100,19 +96,20 @@ def ghw_table(code: LinearCode, *, budget: int | None = None,
 
 def check_duality(d: int, m: int, q: int, *, budget: int | None = None,
                   workers: int = 1) -> list[dict]:
-    """The subcode scan against an independent zero count, at every rank.
+    """The projective subspace scan against an independent zero count.
 
-    weight is the exhaustive r-th weight; max_zeros reads that scan's
-    witness rows back as forms and counts their common projective zeros
-    from their own evaluation (count_common_zeros).  The scan runs once
-    per rank; holds checks weight + max_zeros == n."""
+    weight is n minus the scan's maximum; max_zeros counts the common
+    projective zeros of the scan's witness forms from their own
+    evaluation (count_common_zeros), once per rank; holds checks
+    weight + max_zeros == n."""
     code = build_prm(d, m, q)
     out = []
     for r in range(1, code.k + 1):
-        res = ghw_exhaustive(code, r, budget=budget, workers=workers)
-        zeros = varieties.count_common_zeros(codeword_polynomials(code, res.rows), m, q)
-        out.append({"r": r, "weight": res.weight, "max_zeros": zeros, "n": code.n,
-                    "holds": res.weight + zeros == code.n})
+        res = varieties.brute_force_max_points(r, d, m, q, budget=budget, workers=workers)
+        weight = code.n - res.value
+        zeros = varieties.count_common_zeros(res.witness, m, q)
+        out.append({"r": r, "weight": weight, "max_zeros": zeros, "n": code.n,
+                    "holds": weight + zeros == code.n})
     return out
 
 

@@ -20,7 +20,10 @@ def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None or raw == "":
         return DEFAULT_BUDGET
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value <= 0:
         raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {raw!r}")
     return value

@@ -76,10 +76,6 @@ class SearchResult:
     violations: tuple = ()
 
 
-def _row_poly(m: int, deg: int, basis, row) -> HomogeneousPolynomial:
-    return make_poly(m, deg, {basis[t]: int(c) for t, c in enumerate(row) if c})
-
-
 def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduced",
                            budget: int | None = None, workers: int = 1,
                            footprint_check: bool = False) -> SearchResult:
@@ -116,7 +112,8 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
     violations = tuple(
         (tuple(monomials.format_monomial(basis[p]) for p in combos[ci]), gidx, count, limit)
         for ci, gidx, count, limit in raw)
-    witness = tuple(_row_poly(m, d, basis, row) for row in rref)
+    witness = tuple(make_poly(m, d, {basis[t]: int(c) for t, c in enumerate(row) if c})
+                    for row in rref)
     return SearchResult(value=value, witness=witness, enumerated=enumerated,
                         violations=violations)
 

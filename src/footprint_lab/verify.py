@@ -225,23 +225,22 @@ def suite_specialization(cfg: VerifyConfig) -> SuiteReport:
 def suite_expander(cfg: VerifyConfig) -> SuiteReport:
     """The exponent-shifting expander never shrinks stable footprints."""
     rep = SuiteReport("expander")
-    qs, m_max, d_max = cfg.grid((3,), 2, 2)
-    q = qs[0]
-    m = m_max
-    d = d_max
-    estar = monomials.stable_degree(d, m, q)
+    qs, m, d = cfg.grid((3,), 2, 2)
     inj = rep.check("expander is injective, reduced and degree-preserving")
     grow = rep.check("stable footprint never shrinks under the expander")
     top = rep.check("top level slice only gains footprint at stable degrees")
     nxt = rep.check("next-to-top slice only loses footprint (all degrees)")
     low = rep.check("sub-stable degrees scanned for contrast")
     drops = 0
-    stable = (estar, estar + 1, estar + 2)
-    # before and after: whole footprints from d on, top two slices when stable
-    targets = 2 * (_reduced_count(m, q, range(d, estar + 3))
-                   + _reduced_count(m, q, stable, m) + _reduced_count(m, q, stable, m - 1))
-    for _, sset in _subsets([(None, monomials.reduced_monomials(m, q, d), targets)],
-                            cfg, rep.suite):
+    walks = []
+    for q in qs:
+        estar = monomials.stable_degree(d, m, q)
+        stable = (estar, estar + 1, estar + 2)
+        # before and after: whole footprints from d on, top two slices when stable
+        targets = 2 * (_reduced_count(m, q, range(d, estar + 3))
+                       + _reduced_count(m, q, stable, m) + _reduced_count(m, q, stable, m - 1))
+        walks.append(((q, stable), monomials.reduced_monomials(m, q, d), targets))
+    for (q, stable), sset in _subsets(walks, cfg, rep.suite):
         image = monomials.expand(sset, q)
         inj.case(len(image) == len(sset)
                  and all(monomials.is_reduced(mu, q) for mu in image)
@@ -256,7 +255,7 @@ def suite_expander(cfg: VerifyConfig) -> SuiteReport:
                 monomials.footprint(image, e, q, m, m)), {"e": e, "set": _names(sset)})
             nxt.case(set(monomials.footprint(image, e, q, m, m - 1)) <= set(
                 monomials.footprint(sset, e, q, m, m - 1)), {"e": e, "set": _names(sset)})
-        for e in range(d, estar):
+        for e in range(d, stable[0]):
             low.case(True)
             drops += len(monomials.footprint(sset, e, q, m)) > len(
                 monomials.footprint(image, e, q, m))

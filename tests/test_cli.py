@@ -222,11 +222,12 @@ def test_budget_env_refusal(capsys, monkeypatch):
 
 
 def test_budget_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("FOOTPRINT_LAB_BUDGET", "-5")
-    code, _, err = run_cli(capsys, "search", "er", "--q", "3", "--d", "2",
-                           "--m", "2", "--r", "2")
-    assert code == 2
-    assert "FOOTPRINT_LAB_BUDGET" in err
+    for value in ("-5", "abc"):
+        monkeypatch.setenv("FOOTPRINT_LAB_BUDGET", value)
+        code, _, err = run_cli(capsys, "search", "er", "--q", "3", "--d", "2",
+                               "--m", "2", "--r", "2")
+        assert code == 2
+        assert f"FOOTPRINT_LAB_BUDGET must be positive, got {value!r}" in err
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -416,6 +417,16 @@ def test_output_writes_file(capsys, tmp_path):
     assert out == ""
     data = json.loads(target.read_text())
     assert len(data["rows"]) == fo.binom(3, 2)
+
+
+def test_output_unwritable_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "tables", "--q", "3", "--d", "2", "--m", "2",
+                             "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"cannot write {target}:")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_proven_mismatch_exits_1(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from footprint_lab.errors import (AmbientMismatch, DependentBasis,
                                   IndexOutOfRange, OutOfRange)
 from footprint_lab import codes as co
 from footprint_lab import formulas as fo
+from footprint_lab import linalg as li
 from footprint_lab import monomials as mo
 from footprint_lab import varieties as va
 
@@ -16,6 +17,7 @@ def test_build_prm_shapes():
     assert (code.n, code.k) == (13, 6)
     assert code.generator.shape == (6, 13)
     assert code.basis == mo.reduced_monomials(2, 3, 2)
+    assert code.generator is code.generator  # evaluated once, on first use
     for d, m, q in ((1, 2, 3), (2, 2, 2), (3, 1, 4), (3, 3, 2)):
         code = co.build_prm(d, m, q)
         assert code.k == fo.prm_dimension(d, m, q)
@@ -99,6 +101,22 @@ def test_ghw_rank_checks():
         co.ghw_exhaustive(code, 0)
     with pytest.raises(IndexOutOfRange):
         co.ghw_exhaustive(code, 4)
+
+
+@pytest.mark.parametrize("d, m, q, r", [
+    (2, 2, 2, 2), (2, 2, 3, 2), (2, 2, 4, 1), (2, 1, 4, 2),
+    (2, 1, 8, 2), (3, 1, 8, 1), (2, 1, 9, 2), (2, 2, 9, 1)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ghw_is_the_generator_scan(d, m, q, r, workers):
+    """n - e_r from the projective scan equals the subcode scan run on the
+    code's own generator, weight and witness rows alike; F_8 and F_9 have
+    nonsymmetric multiplication matrices."""
+    code = co.build_prm(d, m, q)
+    res = co.ghw_exhaustive(code, r, workers=workers)
+    zeros, rref, enumerated, _ = li.scan_max_zero_columns(q, code.generator, r, workers)
+    assert res.weight == code.n - zeros
+    assert res.rows.dtype == rref.dtype and (res.rows == rref).all()
+    assert res.enumerated == enumerated
 
 
 def test_ghw_worker_invariance():

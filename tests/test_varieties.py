@@ -6,6 +6,7 @@ import pytest
 
 from footprint_lab.errors import (AmbientMismatch, BudgetExceeded,
                                   IndexOutOfRange, OutOfRange, WitnessInvalid)
+from footprint_lab import codes as co
 from footprint_lab import formulas as fo
 from footprint_lab import monomials as mo
 from footprint_lab import varieties as va
@@ -184,8 +185,13 @@ def test_construct_witness_dependent_family_raises(monkeypatch):
         va.construct_witness(2, 2, 2, 3)
 
 
+def _ghw_search(r, d, m, q):
+    return co.ghw_exhaustive(co.build_prm(d, m, q), r)
+
+
 @pytest.mark.parametrize("search", [va.brute_force_max_points,
-                                    va.brute_force_affine_max_points])
+                                    va.brute_force_affine_max_points,
+                                    _ghw_search])
 def test_refused_scan_builds_no_points(monkeypatch, search):
     """A refusal is priced from the point count alone: neither the points
     nor the evaluation matrix are built first."""

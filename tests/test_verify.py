@@ -47,3 +47,15 @@ def test_dependent_witness_family_is_a_failed_case(monkeypatch):
     assert wit.counterexample["error"].endswith("is linearly dependent")
     assert {key: wit.counterexample[key] for key in "qdmr"} == {"q": 3, "d": 1, "m": 1, "r": 1}
     assert all(check.passed for check in rep.checks[:-1])
+
+
+def test_expander_covers_every_field_size():
+    """Each q of the grid adds its own subset walk: q = 3 and q = 5 alone
+    report 896 and 1152 cases, together their sum."""
+    def cases(qs):
+        (rep,) = run_suites(["expander"], VerifyConfig(qs=qs))
+        assert rep.passed
+        return rep.cases
+    assert cases((3,)) == 896
+    assert cases((5,)) == 1152
+    assert cases((3, 5)) == 896 + 1152
