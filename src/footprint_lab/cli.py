@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     sea = sub.add_parser("search", help="one exhaustive computation vs. its formula")
     sea.add_argument("kind", choices=("er", "affine", "footprint", "ghw"))
     sea.add_argument("--q", type=_field_size, required=True)
-    sea.add_argument("--d", type=int, required=True)
-    sea.add_argument("--m", type=int, required=True)
+    sea.add_argument("--d", type=_nonnegative_int, required=True)
+    sea.add_argument("--m", type=_nonnegative_int, required=True)
     sea.add_argument("--r", type=int, required=True)
     sea.add_argument("--e", type=_nonnegative_int, default=None,
                      help="footprint degree (footprint only; default: stable degree)")

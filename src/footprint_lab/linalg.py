@@ -3,7 +3,7 @@
 Matrices are numpy uint8 arrays of element encodings.  The subspace
 enumeration walks reduced row echelon forms: pivot column sets in
 lexicographic order, free entries in odometer order (last position
-fastest), which fixes a canonical global index for every subspace.
+fastest), which fixes the canonical order of the subspaces.
 
 Within one pivot pattern the rows of an RREF matrix vary independently,
 so rref_batches lays the pattern out as a grid with one axis per row (row
@@ -165,29 +165,29 @@ def _row_values(q: int, k: int, pivot: int, cols: list[int], idx: np.ndarray) ->
     return out
 
 
-def rref_batches(q: int, k: int, pivots: tuple[int, ...], cap: int = BLOCK_CAP):
-    """Yield (offset, block) pairs covering every RREF matrix with the
-    given pivot columns.
+def rref_batches(q: int, k: int, pivots: tuple[int, ...]):
+    """Yield blocks covering every RREF matrix with the given pivot
+    columns, in the canonical order.
 
     Row i has f_i free entries and takes n_i = q**f_i values, whatever the
     other rows hold, so the matrices form a grid: a block has shape
     (n_0, ..., n_{r-1}, r, k) (or a slice of it), with row i varying along
-    axis i only.  The block's C order is the canonical order, so offset
-    plus a matrix's flat index in the block is its index in the pattern.
-    Axes are split from the left so that no block holds more than cap
-    matrices: the axes after the split axis are whole, the split axis is
-    cut into slices, and the axes before it take one value per block.
+    axis i only.  The blocks' C orders, one block after the other, are the
+    canonical order.  Axes are split from the left so that no block holds
+    more than BLOCK_CAP matrices: the axes after the split axis are whole,
+    the split axis is cut into slices, and the axes before it take one
+    value per block.
     """
     r = len(pivots)
     free = _free_columns(pivots, k)
     sizes = [q ** len(f) for f in free]
     tails = [math.prod(sizes[i:]) for i in range(r + 1)]  # tails[i + 1]: step of axis i
-    split = next(i for i in range(r + 1) if tails[i] <= cap)
+    split = next(i for i in range(r + 1) if tails[i] <= BLOCK_CAP)
     whole = [(0, n) for n in sizes[split:]]
     if split == 0:
         spans = [whole]
     else:
-        n, step = sizes[split - 1], cap // tails[split]
+        n, step = sizes[split - 1], BLOCK_CAP // tails[split]
         spans = ([*((h, h + 1) for h in head), (lo, min(lo + step, n)), *whole]
                  for head in itertools.product(*map(range, sizes[:split - 1]))
                  for lo in range(0, n, step))
@@ -196,7 +196,7 @@ def rref_batches(q: int, k: int, pivots: tuple[int, ...], cap: int = BLOCK_CAP):
         for i, (lo, hi) in enumerate(span):
             values = _row_values(q, k, pivots[i], free[i], np.arange(lo, hi))
             block[..., i, :] = values.reshape((1,) * i + (hi - lo,) + (1,) * (r - 1 - i) + (k,))
-        yield sum(lo * tails[i + 1] for i, (lo, _) in enumerate(span)), block
+        yield block
 
 
 def _zero_words(values: np.ndarray) -> np.ndarray:
@@ -234,38 +234,36 @@ def zero_column_counts(field: FieldSpec, blocks: np.ndarray, mat: np.ndarray) ->
 
 
 def _zero_scan_chunk(args):
-    q, mat, k, combos, combo_ids, offsets, bounds = args
+    q, mat, k, combos = args
     field = make_field(q)
-    best_count, best_gidx, best_rref = -1, -1, None
+    best_count, best_rref = -1, None
     enumerated = 0
-    violations = []
-    for pos, pivots in enumerate(combos):
-        limit = None if bounds is None else bounds[pos]
-        for off, block in rref_batches(q, k, pivots):
+    maxima = []
+    for pivots in combos:
+        top = -1
+        for block in rref_batches(q, k, pivots):
             counts = zero_column_counts(field, block, mat).ravel()
             enumerated += counts.size
             arg = int(np.argmax(counts))
-            count = int(counts[arg])
-            if count > best_count:
-                best_count = count
-                best_gidx = offsets[pos] + off + arg
+            top = max(top, int(counts[arg]))
+            if top > best_count:
+                best_count = top
                 best_rref = block.reshape(-1, *block.shape[-2:])[arg].copy()
-            if limit is not None:
-                for oi in np.nonzero(counts > limit)[0]:
-                    violations.append((combo_ids[pos], offsets[pos] + off + int(oi),
-                                       int(counts[oi]), limit))
-    return best_count, best_gidx, best_rref, enumerated, violations
+        maxima.append(top)
+    return best_count, best_rref, enumerated, maxima
 
 
-def scan_max_zero_columns(q: int, mat: np.ndarray, r: int, workers: int = 1, bounds=None):
+def scan_max_zero_columns(q: int, mat: np.ndarray, r: int, workers: int = 1):
     """Maximize the zero-column count of B @ mat over every r-dimensional
     row space B of F_q^k, k = mat rows.
 
-    Returns (count, rref witness, subspaces enumerated, violations); the
-    witness is the earliest maximizer in the canonical enumeration, so the
-    result does not depend on the worker count.  bounds, when given, is a
-    per-pivot-pattern ceiling; subspaces exceeding it are reported as
-    violations (combo id, global index, count, ceiling).
+    Returns (count, rref witness, subspaces enumerated, maxima), where
+    maxima[i] is the largest count in pattern i of pivot_patterns(k, r).
+    The witness is the earliest maximizer in the canonical order: each
+    chunk of patterns keeps its own earliest one, and the chunks, which
+    split_chunks cuts contiguously and run_chunks returns in order, are
+    merged by keeping the first that reaches the best count.  So the
+    result does not depend on the worker count.
 
     The patterns are split into `workers` chunks either way, but a pool
     is started only when the chunks other than the largest, whose work
@@ -273,24 +271,17 @@ def scan_max_zero_columns(q: int, mat: np.ndarray, r: int, workers: int = 1, bou
     POOL_MIN_WORK; otherwise the chunks run in-process, in order.
     """
     k = mat.shape[0]
-    combos = pivot_patterns(k, r)
-    sizes = [pattern_size(c, k, q) for c in combos]
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    chunked = split_chunks(list(range(len(combos))), workers)
-    work = [sum(sizes[i] for i in ids) * mat.shape[1] for ids in chunked]
+    chunked = split_chunks(pivot_patterns(k, r), workers)
+    work = [sum(pattern_size(c, k, q) for c in chunk) * mat.shape[1] for chunk in chunked]
     if sum(work) - max(work, default=0) <= POOL_MIN_WORK:
         workers = 1
-    args = [(q, mat, k,
-             [combos[i] for i in ids], ids, [offsets[i] for i in ids],
-             None if bounds is None else [bounds[i] for i in ids])
-            for ids in chunked]
-    best_count, best_gidx, best_rref = -1, -1, None
+    best_count, best_rref = -1, None
     enumerated = 0
-    violations = []
-    for count, gidx, rref, part, viol in run_chunks(_zero_scan_chunk, args, workers):
+    maxima = []
+    for count, rref, part, chunk_maxima in run_chunks(
+            _zero_scan_chunk, [(q, mat, k, chunk) for chunk in chunked], workers):
         enumerated += part
-        if count > best_count or (count == best_count and gidx < best_gidx):
-            best_count, best_gidx, best_rref = count, gidx, rref
-        violations.extend(viol)
-    violations.sort(key=lambda v: v[1])
-    return best_count, best_rref, enumerated, violations
+        maxima += chunk_maxima
+        if count > best_count:
+            best_count, best_rref = count, rref
+    return best_count, best_rref, enumerated, maxima

@@ -109,6 +109,8 @@ def bounded_tuples(length: int, cap: int, total: int, mode: str = "at_most") -> 
     exponent tuples in the package is read off this one enumerator."""
     if mode not in ("at_most", "exact"):
         raise ValueError(f"mode {mode!r}")
+    if length < 0:
+        raise ValueError(f"length {length} is negative")
     if length == 0:
         ok = total >= 0 if mode == "at_most" else total == 0
         return ((),) if ok else ()

@@ -48,8 +48,9 @@ def split_chunks(items: list, workers: int) -> list[list]:
 def run_chunks(fn, chunk_args: list, workers: int) -> list:
     """Apply fn to each args tuple, in-process or via a process pool.
 
-    Results come back in submission order, so any merge that respects the
-    canonical enumeration index is independent of the worker count.  The
+    Results come back in submission order, so a merge that walks the
+    contiguous chunks of split_chunks in that order sees them in the
+    canonical order and does not depend on the worker count.  The
     pool never has more processes than chunks or CPUs.  Workers are forked
     where the platform offers fork and spawned otherwise, so fn must be a
     module-level function and its arguments picklable.

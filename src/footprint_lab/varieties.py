@@ -84,9 +84,10 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
 
     mode "reduced" spans the projectively reduced monomials (every
     evaluation class once); mode "all" spans all degree-d monomials.  With
-    footprint_check each visited subspace is checked against the stable
-    footprint size of its leading monomials; offenders land in
-    .violations (always empty if the footprint bound is sound).
+    footprint_check every pivot pattern's largest zero count is checked
+    against the stable footprint size of its leading monomials; each
+    pattern that exceeds it lands in .violations as (leading monomials,
+    pattern maximum, bound), always empty if the footprint bound is sound.
     """
     if mode not in ("reduced", "all"):
         raise ValueError(f"mode {mode!r}")
@@ -99,19 +100,19 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
     total = formulas.gaussian_binomial(k, r, q)
     runtime.charge_budget(total * formulas.projective_count(m, q), budget,
                           "projective subspace scan")
-    bounds = None
-    if footprint_check:
-        if mode != "reduced":
-            raise ValueError("footprint bound check requires reduced mode")
-        # combinations order is the lexicographic order of pivot_patterns
-        bounds = monomials.footprint_sizes(basis, r, monomials.stable_degree(d, m, q), q, m)
+    if footprint_check and mode != "reduced":
+        raise ValueError("footprint bound check requires reduced mode")
     mat = linalg.eval_matrix(field, basis, projective_points(m, q))
-    value, rref, enumerated, raw = linalg.scan_max_zero_columns(q, mat, r, workers, bounds)
+    value, rref, enumerated, maxima = linalg.scan_max_zero_columns(q, mat, r, workers)
     assert enumerated == total
-    combos = linalg.pivot_patterns(k, r)
-    violations = tuple(
-        (tuple(monomials.format_monomial(basis[p]) for p in combos[ci]), gidx, count, limit)
-        for ci, gidx, count, limit in raw)
+    violations = ()
+    if footprint_check:
+        # footprint_sizes follows combinations order, the order of pivot_patterns
+        bounds = monomials.footprint_sizes(basis, r, monomials.stable_degree(d, m, q), q, m)
+        violations = tuple(
+            (tuple(monomials.format_monomial(basis[p]) for p in pivots), top, limit)
+            for pivots, top, limit in zip(linalg.pivot_patterns(k, r), maxima, bounds)
+            if top > limit)
     witness = tuple(make_poly(m, d, {basis[t]: int(c) for t, c in enumerate(row) if c})
                     for row in rref)
     return SearchResult(value=value, witness=witness, enumerated=enumerated,

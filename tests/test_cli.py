@@ -121,6 +121,16 @@ def test_search_footprint_negative_degree_exit_2(capsys):
     assert "--e: must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["er", "affine", "footprint", "ghw"])
+@pytest.mark.parametrize("flag", ["--d", "--m"])
+def test_search_negative_degree_or_dimension_exit_2(capsys, kind, flag):
+    argv = {"--q": "3", "--d": "2", "--m": "1", "--r": "1", flag: "-1"}
+    with pytest.raises(SystemExit) as info:
+        cli.main(["search", kind, *(item for pair in argv.items() for item in pair)])
+    assert info.value.code == 2
+    assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_search_footprint_degree_at_least_q(capsys):
     # K_r is the footprint ceiling only for d < q; at d >= q it is not a
     # prediction, so the scan has nothing to match (here 12 exceeds K_2 = 10)

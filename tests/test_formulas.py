@@ -36,6 +36,8 @@ def test_bounded_tuples():
     assert fo.bounded_tuples(0, 2, 1, "exact") == ()
     with pytest.raises(ValueError):
         fo.bounded_tuples(2, 2, 2, "sometimes")
+    with pytest.raises(ValueError, match="length -1 is negative"):
+        fo.bounded_tuples(-1, 2, 2)
 
 
 def test_affine_maximum_table():

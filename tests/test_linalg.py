@@ -92,7 +92,7 @@ def _naive_rrefs(q, k, pivots):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-def test_kernel_matches_table_product(q, n):
+def test_kernel_matches_table_product(monkeypatch, q, n):
     field = make_field(q)
     rng = np.random.default_rng(q * 1000 + n)
     k = 4
@@ -108,8 +108,9 @@ def test_kernel_matches_table_product(q, n):
         got = linalg.zero_column_counts(field, blocks, mat)
         assert got.shape == lead
         assert np.array_equal(got, _reference_counts(field, blocks, mat))
+    monkeypatch.setattr(linalg, "BLOCK_CAP", 60)
     for pivots in ((0, 2), (0, 1, 3), (0,)):
-        for _, block in linalg.rref_batches(q, k, pivots, cap=60):
+        for block in linalg.rref_batches(q, k, pivots):
             got = linalg.zero_column_counts(field, block, mat)
             assert got.shape == block.shape[:-2]
             assert np.array_equal(got, _reference_counts(field, block, mat))
@@ -131,34 +132,34 @@ def test_kernel_rejects_blocks_that_are_not_grids():
     (4, 4, (1, 3), 3),         # rows 4 x 1: the first axis splits
     (5, 3, (0, 1, 2), 4),      # no free entries: a single matrix
 ])
-def test_rref_batches_follow_the_odometer(q, k, pivots, cap):
+def test_rref_batches_follow_the_odometer(monkeypatch, q, k, pivots, cap):
+    monkeypatch.setattr(linalg, "BLOCK_CAP", cap)
     expected = list(_naive_rrefs(q, k, pivots))
     assert len(expected) == linalg.pattern_size(pivots, k, q)
     seen = 0
-    for offset, block in linalg.rref_batches(q, k, pivots, cap=cap):
+    for block in linalg.rref_batches(q, k, pivots):
         assert block.ndim == len(pivots) + 2
         flat = block.reshape(-1, len(pivots), k)
         assert 1 <= len(flat) <= cap
-        assert offset == seen
         for mat in flat:
             assert np.array_equal(mat, expected[seen])
             seen += 1
     assert seen == len(expected)
 
 
-def _naive_scan(q, mat, r, bounds):
+def _naive_scan(q, mat, r):
     field = make_field(q)
     k = mat.shape[0]
-    best, witness, gidx, violations = -1, None, 0, []
-    for ci, pivots in enumerate(linalg.pivot_patterns(k, r)):
+    best, witness, total, maxima = -1, None, 0, []
+    for pivots in linalg.pivot_patterns(k, r):
         rrefs = np.array(list(_naive_rrefs(q, k, pivots)))
-        for rref, count in zip(rrefs, _reference_counts(field, rrefs, mat)):
+        counts = _reference_counts(field, rrefs, mat)
+        for rref, count in zip(rrefs, counts):
             if count > best:
                 best, witness = int(count), rref
-            if bounds is not None and count > bounds[ci]:
-                violations.append((ci, gidx, int(count), bounds[ci]))
-            gidx += 1
-    return best, witness, gidx, violations
+        maxima.append(int(counts.max()))
+        total += len(rrefs)
+    return best, witness, total, maxima
 
 
 @pytest.mark.parametrize("q, k, r, n", [
@@ -170,16 +171,13 @@ def _naive_scan(q, mat, r, bounds):
 def test_scan_matches_naive_enumeration(q, k, r, n, workers):
     rng = np.random.default_rng(q * 100 + k * 10 + r)
     mat = _sparse_matrix(rng, q, k, n)
-    patterns = linalg.pivot_patterns(k, r)
-    bounds = [int(b) for b in rng.integers(n // 3, n + 1, size=len(patterns))]
-    count, witness, enumerated, violations = linalg.scan_max_zero_columns(
-        q, mat, r, workers, bounds)
-    best, naive_witness, total, naive_violations = _naive_scan(q, mat, r, bounds)
+    count, witness, enumerated, maxima = linalg.scan_max_zero_columns(q, mat, r, workers)
+    best, naive_witness, total, naive_maxima = _naive_scan(q, mat, r)
     assert count == best
     assert np.array_equal(witness, naive_witness)
     assert enumerated == total
-    assert violations == naive_violations
-    assert naive_violations  # the bounds are tight enough to be crossed
+    assert maxima == naive_maxima
+    assert len(set(naive_maxima)) > 1  # the patterns' maxima differ
 
 
 def _reference_row_reduce(field, mat):

@@ -102,9 +102,7 @@ def test_small_scan_requests_no_pool(monkeypatch):
 
 def test_real_pool_matches_one_worker(monkeypatch):
     q, mat, r, _ = _scan_instance()
-    patterns = linalg.pivot_patterns(mat.shape[0], r)
-    bounds = [mat.shape[1] // 3] * len(patterns)
-    want = linalg.scan_max_zero_columns(q, mat, r, 1, bounds)
+    want = linalg.scan_max_zero_columns(q, mat, r, 1)
     requested = []
 
     def spy(fn, chunk_args, workers):
@@ -113,8 +111,10 @@ def test_real_pool_matches_one_worker(monkeypatch):
     monkeypatch.setattr(linalg, "POOL_MIN_WORK", 0)
     monkeypatch.setattr(linalg, "run_chunks", spy)
     monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
-    count, witness, enumerated, violations = linalg.scan_max_zero_columns(q, mat, r, 2, bounds)
+    count, witness, enumerated, maxima = linalg.scan_max_zero_columns(q, mat, r, 2)
     assert requested == [2]
     assert count == want[0] and np.array_equal(witness, want[1])
-    assert (enumerated, violations) == want[2:]
-    assert violations
+    assert (enumerated, maxima) == want[2:]
+    # both chunks reach the maximum, so the merge has to keep the first
+    first, second = runtime.split_chunks(maxima, 2)
+    assert max(first) == max(second) == count

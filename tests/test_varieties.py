@@ -11,6 +11,7 @@ from footprint_lab import formulas as fo
 from footprint_lab import monomials as mo
 from footprint_lab import varieties as va
 from footprint_lab.polys import make_poly, monomial_poly
+from footprint_lab.verify import VerifyConfig, run_suites
 
 
 def test_projective_points():
@@ -99,6 +100,32 @@ def test_footprint_check_no_violations():
     for r in (1, 3, 6):
         res = va.brute_force_max_points(r, 2, 2, 3, footprint_check=True)
         assert res.violations == ()
+
+
+def test_footprint_check_reports_each_pattern_over_its_bound(monkeypatch):
+    """Each pivot pattern's maximum is checked against its own bound: one
+    bound lowered below its pattern's maximum gives exactly one violation,
+    which the sandwich suite reports as its counterexample."""
+    r, d, m, q = 2, 2, 2, 3
+    res = va.brute_force_max_points(r, d, m, q)
+    basis = mo.reduced_monomials(m, q, d)
+    leads = tuple(f.terms[0][0] for f in res.witness)  # terms run in descending lex
+    pattern = va.linalg.pivot_patterns(len(basis), r).index(tuple(map(basis.index, leads)))
+    footprint_sizes = mo.footprint_sizes
+
+    def lowered(pool, rank, *args):
+        bounds = footprint_sizes(pool, rank, *args)
+        if (tuple(pool), rank) == (basis, r):
+            bounds[pattern] = res.value - 1
+        return bounds
+    monkeypatch.setattr(mo, "footprint_sizes", lowered)
+    violation = (tuple(map(mo.format_monomial, leads)), res.value, res.value - 1)
+    assert va.brute_force_max_points(r, d, m, q, footprint_check=True).violations == (violation,)
+    (rep,) = run_suites(["sandwich"], VerifyConfig())
+    (viol,) = (c for c in rep.checks
+               if c.name == "no subspace beats the footprint of its leading monomials")
+    assert viol.passed is False
+    assert viol.counterexample == {"q": q, "d": d, "m": m, "r": r, "violation": list(violation)}
 
 
 def test_brute_force_affine():
