@@ -51,7 +51,10 @@ def _suites(text: str) -> list[str]:
 
 
 def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value

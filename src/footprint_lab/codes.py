@@ -10,7 +10,6 @@ projective subspace scan (varieties.brute_force_max_points).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +29,9 @@ class LinearCode:
     m: int
     basis: tuple[Monomial, ...]  # monomial per generator row
 
-    @cached_property
-    def generator(self) -> np.ndarray:  # (k, n) element encodings
-        return linalg.eval_matrix(make_field(self.q), self.basis,
-                                  varieties.projective_points(self.m, self.q))
+    @property
+    def generator(self) -> np.ndarray:  # (k, n) element encodings, read-only
+        return varieties.projective_eval_matrix("reduced", self.order, self.m, self.q)
 
 
 def build_prm(d: int, m: int, q: int) -> LinearCode:

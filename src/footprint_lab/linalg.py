@@ -7,11 +7,14 @@ fastest), which fixes the canonical order of the subspaces.
 
 Within one pivot pattern the rows of an RREF matrix vary independently,
 so rref_batches lays the pattern out as a grid with one axis per row (row
-i varies along axis i only).  The scan kernel reads row i's values off one
-line along axis i of that grid and multiplies them by the evaluation matrix
-once per block instead of once per subspace, packs the zero columns into
-uint64 masks and intersects the rows' masks with a broadcast AND, so a
-subspace costs about ceil(n/64) word operations.
+i varies along axis i only).  The grid is stored entry-major, so each row
+is written by one broadcast along whole grid axes, and handed out as a
+(grid..., r, k) view.  The scan kernel reads row i's values off one line
+along axis i of that grid, multiplies the r lines by the evaluation matrix
+in one product per block instead of once per subspace, packs the zero
+columns into uint64 masks and, one mask word at a time, intersects the
+rows' masks with a broadcast AND and popcounts them, so a subspace costs
+about ceil(n/64) word operations.
 
 Every product over F_q, q = p^e, is one float64 BLAS product over F_p
 (matmul): the right factor's entries become their e x e multiplication
@@ -90,9 +93,10 @@ def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def row_reduce(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and its pivot columns."""
-    add, mul = field.add_table, field.mul_table
-    inv, neg = field.inv_table, field.neg_table
-    m = np.array(mat, dtype=np.uint8, copy=True)
+    q, mul, inv = field.q, field.mul_table, field.inv_table
+    add = field.add_table.ravel()
+    minus = mul[field.neg_table]  # minus[x, y] = -x * y
+    m = np.array(mat, dtype=np.uint16)  # so m * q + x, a flat add-table index below q*q, cannot wrap
     rows, cols = m.shape
     pivots: list[int] = []
     pr = 0
@@ -105,15 +109,17 @@ def row_reduce(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, list[int]
         swap = pr + int(nz[0])
         if swap != pr:
             m[[pr, swap]] = m[[swap, pr]]
-        m[pr] = mul[inv[m[pr, c]], m[pr]]
+        # the pivot row is zero left of c, so columns c: are all that change
+        row = mul[inv[m[pr, c]], m[pr, c:]]
+        m[pr, c:] = row
         # clear column c from every other row at once: row rr gains
-        # -m[rr, c] times the pivot row
-        factor = neg[m[:, c]]
+        # -m[rr, c] times the pivot row, one gather from its multiples
+        factor = m[:, c].copy()
         factor[pr] = 0
-        m = add[m, mul[factor[:, None], m[pr]]]
+        m[:, c:] = add[m[:, c:] * q + minus[:, row][factor]]
         pivots.append(c)
         pr += 1
-    return m, pivots
+    return m.astype(np.uint8), pivots
 
 
 def rank(field: FieldSpec, mat: np.ndarray) -> int:
@@ -155,13 +161,14 @@ def pattern_size(pivots: tuple[int, ...], k: int, q: int) -> int:
 
 
 def _row_values(q: int, k: int, pivot: int, cols: list[int], idx: np.ndarray) -> np.ndarray:
-    """One RREF row per odometer index in idx: 1 at the pivot, the index's
-    base-q digits at the free columns cols (last column fastest)."""
-    out = np.zeros((len(idx), k), dtype=np.uint8)
-    out[:, pivot] = 1
+    """One RREF row per odometer index in idx, entry-major (k, len(idx)):
+    1 at the pivot, the index's base-q digits at the free columns cols
+    (last column fastest)."""
+    out = np.zeros((k, len(idx)), dtype=np.uint8)
+    out[pivot] = 1
     for c in reversed(cols):
         # a scalar divisor: numpy divides without a division instruction per entry
-        idx, out[:, c] = np.divmod(idx, q)
+        idx, out[c] = np.divmod(idx, q)
     return out
 
 
@@ -177,6 +184,10 @@ def rref_batches(q: int, k: int, pivots: tuple[int, ...]):
     more than BLOCK_CAP matrices: the axes after the split axis are whole,
     the split axis is cut into slices, and the axes before it take one
     value per block.
+
+    Each block is built entry-major, as (r, k, n_0, ..., n_{r-1}), so row
+    i is written by one broadcast of its (k, n_i) values along the grid
+    axes, and yielded as a moveaxis view with the shape above.
     """
     r = len(pivots)
     free = _free_columns(pivots, k)
@@ -192,11 +203,11 @@ def rref_batches(q: int, k: int, pivots: tuple[int, ...]):
                  for head in itertools.product(*map(range, sizes[:split - 1]))
                  for lo in range(0, n, step))
     for span in spans:
-        block = np.empty(tuple(hi - lo for lo, hi in span) + (r, k), dtype=np.uint8)
+        block = np.empty((r, k) + tuple(hi - lo for lo, hi in span), dtype=np.uint8)
         for i, (lo, hi) in enumerate(span):
             values = _row_values(q, k, pivots[i], free[i], np.arange(lo, hi))
-            block[..., i, :] = values.reshape((1,) * i + (hi - lo,) + (1,) * (r - 1 - i) + (k,))
-        yield block
+            block[i] = values.reshape((k,) + (1,) * i + (hi - lo,) + (1,) * (r - 1 - i))
+        yield np.moveaxis(block, (0, 1), (-2, -1))
 
 
 def _zero_words(values: np.ndarray) -> np.ndarray:
@@ -214,23 +225,35 @@ def zero_column_counts(field: FieldSpec, blocks: np.ndarray, mat: np.ndarray) ->
     vanish identically.
 
     Row i varies along axis i only, so its n_i values are read off one
-    line along that axis and multiplied by mat once; their zero columns
-    are packed into uint64 masks, the rows' masks are intersected with a
-    broadcast AND over the block's axes, and the result is popcounted.
+    line along that axis; the r lines are stacked and multiplied by mat in
+    one product.  Their zero columns are packed into uint64 masks, and for
+    each mask word the rows' words are intersected with a broadcast AND
+    over the block's axes and popcounted into the counts.
     """
     blocks = np.asarray(blocks, dtype=np.uint8)
     r = blocks.shape[-2]
     if blocks.ndim != r + 2:
         raise ValueError(f"block of shape {blocks.shape} is not an (n_0, ..., n_{{r-1}}, r, k) grid")
-    words = None
-    for i in range(r):
-        line = blocks[(0,) * i + (slice(None),) + (0,) * (r - 1 - i) + (i,)]
-        zeros = _zero_words(matmul(field, line, mat))
-        zeros = zeros.reshape((1,) * i + (len(line),) + (1,) * (r - 1 - i) + zeros.shape[-1:])
-        words = zeros if words is None else words & zeros
-    if words is None:
-        return np.full(blocks.shape[:-2], mat.shape[1], dtype=np.int64)
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    grid = blocks.shape[:-2]
+    if r == 0:
+        return np.full(grid, mat.shape[1], dtype=np.int64)
+    lines = [blocks[(0,) * i + (slice(None),) + (0,) * (r - 1 - i) + (i,)] for i in range(r)]
+    stacked = lines[0] if r == 1 else np.concatenate(lines)  # an r = 1 block is its own line
+    words = _zero_words(matmul(field, stacked, mat)).T  # (words, sum of n_i)
+    ends = np.cumsum(grid)
+    counts = np.zeros(grid, dtype=np.int64)
+    both = np.empty(grid, dtype=np.uint64)
+    for word in words:
+        masks = [word[end - n_i:end].reshape((1,) * i + (n_i,) + (1,) * (r - 1 - i))
+                 for i, (end, n_i) in enumerate(zip(ends, grid))]
+        # the AND grows axis by axis, and only the last step, written into
+        # one buffer per block, spans the whole grid (r = 1 ANDs its one
+        # mask with itself)
+        partial = masks[0]
+        for mask in masks[1:-1]:
+            partial = partial & mask
+        counts += np.bitwise_count(np.bitwise_and(partial, masks[-1], out=both))
+    return counts
 
 
 def _zero_scan_chunk(args):
@@ -242,13 +265,13 @@ def _zero_scan_chunk(args):
     for pivots in combos:
         top = -1
         for block in rref_batches(q, k, pivots):
-            counts = zero_column_counts(field, block, mat).ravel()
+            counts = zero_column_counts(field, block, mat)
             enumerated += counts.size
             arg = int(np.argmax(counts))
-            top = max(top, int(counts[arg]))
+            top = max(top, int(counts.flat[arg]))
             if top > best_count:
                 best_count = top
-                best_rref = block.reshape(-1, *block.shape[-2:])[arg].copy()
+                best_rref = block[np.unravel_index(arg, counts.shape)].copy()
         maxima.append(top)
     return best_count, best_rref, enumerated, maxima
 

@@ -41,6 +41,24 @@ def affine_points(m: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(range(q), repeat=m))
 
 
+def _projective_basis(mode: str, d: int, m: int, q: int) -> tuple:
+    if mode not in ("reduced", "all"):
+        raise ValueError(f"mode {mode!r}")
+    return (monomials.reduced_monomials(m, q, d) if mode == "reduced"
+            else monomials.all_monomials(m, d))
+
+
+@lru_cache(maxsize=None)
+def projective_eval_matrix(mode: str, d: int, m: int, q: int) -> np.ndarray:
+    """The degree-d monomials of mode ("reduced" or "all") evaluated at
+    projective_points(m, q): built once per (mode, d, m, q) and read-only,
+    so every rank's scan and a code's generator share one matrix."""
+    mat = linalg.eval_matrix(make_field(q), _projective_basis(mode, d, m, q),
+                             projective_points(m, q))
+    mat.flags.writeable = False
+    return mat
+
+
 def count_common_zeros(polys, m: int, q: int) -> int:
     """Number of projective points where every polynomial vanishes."""
     field = make_field(q)
@@ -89,11 +107,8 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
     pattern that exceeds it lands in .violations as (leading monomials,
     pattern maximum, bound), always empty if the footprint bound is sound.
     """
-    if mode not in ("reduced", "all"):
-        raise ValueError(f"mode {mode!r}")
-    field = make_field(q)
-    basis = (monomials.reduced_monomials(m, q, d) if mode == "reduced"
-             else monomials.all_monomials(m, d))
+    basis = _projective_basis(mode, d, m, q)
+    make_field(q)  # an unsupported q is refused before the scan is priced
     k = len(basis)
     if not 1 <= r <= k:
         raise IndexOutOfRange(f"r = {r} outside 1..{k}")
@@ -102,7 +117,7 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
                           "projective subspace scan")
     if footprint_check and mode != "reduced":
         raise ValueError("footprint bound check requires reduced mode")
-    mat = linalg.eval_matrix(field, basis, projective_points(m, q))
+    mat = projective_eval_matrix(mode, d, m, q)
     value, rref, enumerated, maxima = linalg.scan_max_zero_columns(q, mat, r, workers)
     assert enumerated == total
     violations = ()

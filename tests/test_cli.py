@@ -357,6 +357,18 @@ def test_verify_suite_list(capsys):
     assert [s["suite"] for s in json.loads(out)["suites"]] == ["wei", "macaulay"]
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--d"])
+def test_non_integer_flag_exit_2(capsys, flag):
+    argv = ["search", "er", "--q", "3", "--d", "2", "--m", "1", "--r", "1", "--budget", "1000"]
+    argv[argv.index(flag) + 1] = "x"
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be an integer, got 'x'" in err
+    assert "_positive_int" not in err and "_nonnegative_int" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["search", "er", "--q", "3", "--d", "2", "--m", "2", "--r", "1"],
     ["verify", "--suite", "wei"],

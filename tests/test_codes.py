@@ -75,6 +75,21 @@ def test_ghw_matches_duality_table():
     assert co.ghw_table(co.build_prm(1, 2, 3)) == (9, 12, 13)
 
 
+def test_ghw_table_evaluates_the_code_once(monkeypatch):
+    """Every rank's scan and the generator read one cached, read-only
+    evaluation matrix."""
+    va.projective_eval_matrix.cache_clear()
+    calls = []
+    evaluate = li.eval_matrix
+    monkeypatch.setattr(li, "eval_matrix", lambda *args: calls.append(args) or evaluate(*args))
+    code = co.build_prm(2, 2, 3)
+    assert co.ghw_table(code) == (6, 8, 9, 11, 12, 13)
+    assert code.generator is va.projective_eval_matrix("reduced", 2, 2, 3)
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        code.generator[0, 0] = 1
+
+
 def test_min_distance_formulas():
     assert co.ghw_exhaustive(co.build_prm(2, 2, 3), 1).weight == 6
     assert co.ghw_exhaustive(co.build_prm(2, 2, 2), 1).weight == 2

@@ -91,7 +91,7 @@ def _naive_rrefs(q, k, pivots):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
 def test_kernel_matches_table_product(monkeypatch, q, n):
     field = make_field(q)
     rng = np.random.default_rng(q * 1000 + n)
@@ -108,11 +108,28 @@ def test_kernel_matches_table_product(monkeypatch, q, n):
         got = linalg.zero_column_counts(field, blocks, mat)
         assert got.shape == lead
         assert np.array_equal(got, _reference_counts(field, blocks, mat))
+        # no columns, no mask words: every matrix has all n = 0 columns zero
+        assert n or not got.any()
     monkeypatch.setattr(linalg, "BLOCK_CAP", 60)
     for pivots in ((0, 2), (0, 1, 3), (0,)):
         for block in linalg.rref_batches(q, k, pivots):
             got = linalg.zero_column_counts(field, block, mat)
             assert got.shape == block.shape[:-2]
+            assert np.array_equal(got, _reference_counts(field, block, mat))
+
+
+def test_kernel_multiplies_once_per_block(monkeypatch):
+    field = make_field(3)
+    mat = _sparse_matrix(np.random.default_rng(3), 3, 6, 70)
+    calls = []
+    product = linalg.matmul
+    monkeypatch.setattr(linalg, "matmul", lambda *args: calls.append(args) or product(*args))
+    monkeypatch.setattr(linalg, "BLOCK_CAP", 50)
+    for pivots in ((0,), (0, 2), (0, 1, 3), (1, 2, 4)):
+        for block in linalg.rref_batches(3, 6, pivots):
+            calls.clear()
+            got = linalg.zero_column_counts(field, block, mat)
+            assert len(calls) == 1
             assert np.array_equal(got, _reference_counts(field, block, mat))
 
 
@@ -162,13 +179,19 @@ def _naive_scan(q, mat, r):
     return best, witness, total, maxima
 
 
-@pytest.mark.parametrize("q, k, r, n", [
-    (3, 6, 3, 13),   # the (0, 1, 2) pattern holds 3**9 > BLOCK_CAP matrices
-    (4, 4, 2, 21),
-    (2, 7, 2, 70),
+@pytest.mark.parametrize("q, k, r, n, cap", [
+    # the (0, 1, 2) pattern holds 3**9 > BLOCK_CAP matrices
+    pytest.param(3, 6, 3, 13, None, id="3-6-3-13"),
+    pytest.param(4, 4, 2, 21, None, id="4-4-2-21"),
+    pytest.param(2, 7, 2, 70, None, id="2-7-2-70"),
+    # blocks of at most 7 split the 8 x 8 x 8 pattern (0, 1, 2) into 128
+    # blocks, and the earliest maximizer is its matrix 34, in its 9th block
+    pytest.param(2, 6, 3, 12, 7, id="2-6-3-12-cap7"),
 ])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_scan_matches_naive_enumeration(q, k, r, n, workers):
+def test_scan_matches_naive_enumeration(monkeypatch, q, k, r, n, cap, workers):
+    if cap is not None:
+        monkeypatch.setattr(linalg, "BLOCK_CAP", cap)
     rng = np.random.default_rng(q * 100 + k * 10 + r)
     mat = _sparse_matrix(rng, q, k, n)
     count, witness, enumerated, maxima = linalg.scan_max_zero_columns(q, mat, r, workers)
@@ -178,6 +201,11 @@ def test_scan_matches_naive_enumeration(q, k, r, n, workers):
     assert enumerated == total
     assert maxima == naive_maxima
     assert len(set(naive_maxima)) > 1  # the patterns' maxima differ
+    if cap is not None:
+        pivots = tuple(int(np.flatnonzero(row)[0]) for row in naive_witness)
+        position = next(j for j, rref in enumerate(_naive_rrefs(q, k, pivots))
+                        if np.array_equal(rref, naive_witness))
+        assert position >= cap  # past the first block of its pattern
 
 
 def _reference_row_reduce(field, mat):
@@ -213,6 +241,10 @@ def test_row_reduce_matches_row_by_row_reference(q):
             mat = rng.integers(0, q, size=(rows, cols), dtype=np.uint8)
             mat[rng.random((rows, cols)) < 0.4] = 0
             mats.append(mat)
+    # many pivots, each clearing its column from many rows
+    mat = rng.integers(0, q, size=(20, 30), dtype=np.uint8)
+    mat[rng.random(mat.shape) < 0.4] = 0
+    mats.append(mat)
     # zero rows, a zero matrix, and repeated and scaled rows (rank-deficient)
     base = rng.integers(0, q, size=(3, 6), dtype=np.uint8)
     base[:, :3] = np.eye(3, dtype=np.uint8)[::-1]  # rank 3
