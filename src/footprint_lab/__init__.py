@@ -9,8 +9,7 @@ from .errors import (AmbientMismatch, BadEncoding, BadLevel, BudgetExceeded,
                      CapExceeded, CountOutOfRange, DependentBasis,
                      DivisionByZero, IndexOutOfRange, NotPrimePower,
                      OutOfRange, WitnessInvalid)
-from .formulas import (affine_max_points, affine_max_points_macaulay,
-                       affine_vanishing_dim, binom,
+from .formulas import (affine_max_points, affine_max_points_macaulay, binom,
                        conjectured_max_points, conjectured_max_points_macaulay,
                        gaussian_binomial, ghw_lower_bound, known_family,
                        known_max_points, macaulay_tuple, macaulay_value,
@@ -20,10 +19,9 @@ from .gf import FieldSpec, make_field
 from .monomials import (all_monomials, bounded_tuples, divides, expand, footprint,
                         format_monomial, hypercube, hypercube_footprint,
                         hypercube_lex_segment, hypercube_shadow,
-                        hypercube_slice, is_reduced, lex_segment_reduced,
-                        parse_monomial, reduce_monomial, reduced_monomials,
-                        restrict_level, shadow, sort_desc, specialize,
-                        stable_degree)
+                        hypercube_slice, is_reduced, reduce_monomial,
+                        reduced_monomials, restrict_level, shadow, sort_desc,
+                        specialize, stable_degree)
 from .polys import (AffinePolynomial, HomogeneousPolynomial, make_affine_poly,
                     make_poly, monomial_poly, reduce_polynomial)
 from .varieties import (SearchResult, WitnessResult, affine_points,
@@ -32,8 +30,7 @@ from .varieties import (SearchResult, WitnessResult, affine_points,
                         construct_witness, count_common_zeros,
                         projective_points)
 from .codes import (GhwResult, LinearCode, build_prm, check_duality,
-                    codeword_polynomials, export_generator_csv,
-                    export_generator_json, ghw_exhaustive, ghw_table,
+                    export_generator_csv, ghw_exhaustive, ghw_table,
                     subspace_weight)
 from .verify import SUITES, Check, SuiteReport, VerifyConfig, run_suites
 

@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tab = sub.add_parser("tables", help="per-rank bound table for one (q, d, m)")
     tab.add_argument("--q", type=_field_size, required=True)
-    tab.add_argument("--d", type=int, required=True)
-    tab.add_argument("--m", type=int, required=True)
+    tab.add_argument("--d", type=_positive_int, required=True)
+    tab.add_argument("--m", type=_positive_int, required=True)
     _output_flags(tab)
 
     sea = sub.add_parser("search", help="one exhaustive computation vs. its formula")
@@ -117,9 +117,7 @@ def _output_flags(sub) -> None:
 
 def _cmd_tables(args) -> tuple[dict, int]:
     q, d, m = args.q, args.d, args.m
-    if m < 1:
-        raise ValueError(f"m = {m} must be >= 1")
-    if not 1 <= d <= q:
+    if d > q:
         raise ValueError(f"tables need 1 <= d <= q; got d = {d}, q = {q}")
     top = formulas.binom(m + d, d)
     # at d = q the footprint ceiling fails and the affine pool lacks every x_i^q
@@ -150,8 +148,9 @@ def _cmd_search(args) -> tuple[dict, int]:
         res = varieties.brute_force_max_points(
             r, d, m, q, mode=args.mode, budget=args.budget, workers=args.workers)
         # only for d <= q does the reduced basis span every degree-d form, so
-        # above q the scan misses the forms vanishing on all of P^m
-        settled = args.mode == "reduced" and d <= q
+        # above q the scan misses the forms vanishing on all of P^m; the
+        # closed forms start at d = 1
+        settled = args.mode == "reduced" and 1 <= d <= q
         predicted, status = formulas.conjectured_max_points(r, d, m, q) if settled \
             else (None, None)
         formula = {"known": formulas.known_max_points(r, d, m, q) if settled else None,

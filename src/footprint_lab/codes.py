@@ -17,7 +17,6 @@ from . import formulas, linalg, monomials, varieties
 from .errors import AmbientMismatch, DependentBasis, OutOfRange
 from .gf import make_field
 from .monomials import Monomial
-from .polys import HomogeneousPolynomial, make_poly
 
 
 @dataclass(frozen=True)
@@ -46,14 +45,6 @@ def build_prm(d: int, m: int, q: int) -> LinearCode:
     basis = tuple(monomials.reduced_monomials(m, q, d))
     return LinearCode(q=q, n=formulas.projective_count(m, q), k=len(basis),
                       order=d, m=m, basis=basis)
-
-
-def codeword_polynomials(code: LinearCode, rows) -> tuple[HomogeneousPolynomial, ...]:
-    """Message rows as the forms they evaluate."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint8))
-    return tuple(make_poly(code.m, code.order,
-                           {code.basis[t]: int(c) for t, c in enumerate(row) if c})
-                 for row in rows)
 
 
 def subspace_weight(code: LinearCode, rows) -> int:
@@ -114,12 +105,3 @@ def check_duality(d: int, m: int, q: int, *, budget: int | None = None,
 def export_generator_csv(code: LinearCode) -> str:
     """Rows of integer encodings, one generator row per line, basis order."""
     return "\n".join(",".join(str(int(c)) for c in row) for row in code.generator) + "\n"
-
-
-def export_generator_json(code: LinearCode) -> dict:
-    return {
-        "schema": 1,
-        "q": code.q, "d": code.order, "m": code.m, "n": code.n, "k": code.k,
-        "basis": [monomials.format_monomial(mon) for mon in code.basis],
-        "rows": [[int(c) for c in row] for row in code.generator],
-    }

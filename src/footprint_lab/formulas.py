@@ -200,15 +200,6 @@ def vanishing_forms_dim(d: int, m: int, q: int) -> int:
     return total
 
 
-def affine_vanishing_dim(d: int, m: int, q: int) -> int:
-    """Dimension of {f of degree <= d in m variables vanishing on F_q^m};
-    zero for d < q."""
-    if d < 0:
-        raise OutOfRange(f"d = {d} must be >= 0")
-    return sum((-1) ** (j - 1) * binom(m, j) * binom(m + d - j * q, d - j * q)
-               for j in range(1, m + 1))
-
-
 def prm_dimension(d: int, m: int, q: int) -> int:
     """Dimension of the projective Reed-Muller code of order d on P^m(F_q):
     equals the number of reduced degree-d monomials."""

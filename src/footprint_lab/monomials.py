@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
 from functools import lru_cache, reduce
 
 from .errors import BadLevel, CountOutOfRange
 
 Monomial = tuple[int, ...]
-
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
 def degree(mon: Monomial) -> int:
@@ -54,23 +51,6 @@ def format_monomial(mon: Monomial) -> str:
         elif a > 1:
             parts.append(f"x{j}^{a}")
     return "*".join(parts) if parts else "1"
-
-
-def parse_monomial(text: str, m: int) -> Monomial:
-    """Inverse of format_monomial for ambient x_0..x_m."""
-    text = text.strip()
-    exps = [0] * (m + 1)
-    if text == "1":
-        return tuple(exps)
-    for factor in text.split("*"):
-        match = _FACTOR_RE.match(factor.strip())
-        if not match:
-            raise ValueError(f"bad monomial factor {factor!r}")
-        j, a = int(match.group(1)), int(match.group(2) or 1)
-        if j > m:
-            raise ValueError(f"variable x{j} outside ambient x0..x{m}")
-        exps[j] += a
-    return tuple(exps)
 
 
 def reduce_exponent(a: int, q: int) -> int:
@@ -245,15 +225,12 @@ def hypercube_slice(lv: int, q: int, deg: int, mode: str = "exact") -> tuple[Mon
     return bounded_tuples(lv, q - 1, deg, mode)
 
 
-def _prefix(pool, count: int) -> list[Monomial]:
+def hypercube_lex_segment(lv: int, q: int, deg: int, count: int, mode: str = "at_most") -> list[Monomial]:
+    """First `count` members of the degree slice in descending lex."""
+    pool = hypercube_slice(lv, q, deg, mode)
     if not 0 <= count <= len(pool):
         raise CountOutOfRange(f"count {count} outside 0..{len(pool)}")
     return list(pool[:count])
-
-
-def hypercube_lex_segment(lv: int, q: int, deg: int, count: int, mode: str = "at_most") -> list[Monomial]:
-    """First `count` members of the degree slice in descending lex."""
-    return _prefix(hypercube_slice(lv, q, deg, mode), count)
 
 
 def hypercube_shadow(mons, lv: int, q: int, deg: int | None = None) -> list[Monomial]:
@@ -266,11 +243,6 @@ def hypercube_footprint(mons, lv: int, q: int, deg: int | None = None) -> list[M
     """Hypercube non-multiples of members of mons; of degree exactly deg when given."""
     targets = hypercube(lv, q) if deg is None else hypercube_slice(lv, q, deg)
     return _multiples(mons, targets, divisible=False)
-
-
-def lex_segment_reduced(m: int, q: int, deg: int, count: int) -> list[Monomial]:
-    """First `count` reduced degree-deg monomials in descending lex."""
-    return _prefix(reduced_monomials(m, q, deg), count)
 
 
 def stable_degree(d: int, m: int, q: int) -> int:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import codes, formulas, linalg, monomials, runtime, varieties
-from .errors import WitnessInvalid
+from .errors import DependentBasis, WitnessInvalid
 from .gf import make_field
 from .monomials import format_monomial
 from .polys import make_poly, reduce_polynomial
@@ -500,11 +500,18 @@ def suite_codes(cfg: VerifyConfig) -> SuiteReport:
                     ok = ok and k == formulas.projective_count(m, q)
                 ideal.case(ok, {"q": q, "m": m, "d": d})
 
+    # the witness's weight is recounted from the generator, not the scan's masks
     for d, m, q in MINDIST_INSTANCES:
         code = codes.build_prm(d, m, q)
-        got = codes.ghw_exhaustive(code, 1, budget=cfg.budget, workers=cfg.workers).weight
+        res = codes.ghw_exhaustive(code, 1, budget=cfg.budget, workers=cfg.workers)
         want = formulas.prm_min_distance(d, m, q)
-        mindist.case(got == want, {"q": q, "m": m, "d": d, "weight": got, "formula": want})
+        try:
+            recount = codes.subspace_weight(code, res.rows)
+        except DependentBasis:
+            recount = None
+        mindist.case(res.weight == want == recount,
+                     {"q": q, "m": m, "d": d, "weight": res.weight, "formula": want,
+                      "recount": recount})
 
     for d, m, q in GHW_SMALL:
         code = codes.build_prm(d, m, q)

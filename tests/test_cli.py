@@ -57,9 +57,10 @@ def test_tables_degree_q(capsys):
 
 
 def test_tables_rejects_bad_m(capsys):
-    code, _, err = run_cli(capsys, "tables", "--q", "3", "--d", "2", "--m", "0")
-    assert code == 2
-    assert "m" in err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["tables", "--q", "3", "--d", "2", "--m", "0"])
+    assert info.value.code == 2
+    assert "argument --m: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_tables_csv_and_pretty(capsys):
@@ -161,6 +162,17 @@ def test_search_er_above_q_has_no_known_formula(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["value"] == 2
+    assert data["formula"] == {"known": None, "predicted": None, "status": None}
+    assert data["matches_formula"] is None
+
+
+def test_search_er_degree_zero_has_no_formula(capsys):
+    # degree-0 forms are constants: no common zero, and no closed form applies
+    code, out, _ = run_cli(capsys, "search", "er", "--q", "3", "--d", "0",
+                           "--m", "2", "--r", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 0
     assert data["formula"] == {"known": None, "predicted": None, "status": None}
     assert data["matches_formula"] is None
 
@@ -357,9 +369,18 @@ def test_verify_suite_list(capsys):
     assert [s["suite"] for s in json.loads(out)["suites"]] == ["wei", "macaulay"]
 
 
-@pytest.mark.parametrize("flag", ["--budget", "--d"])
-def test_non_integer_flag_exit_2(capsys, flag):
-    argv = ["search", "er", "--q", "3", "--d", "2", "--m", "1", "--r", "1", "--budget", "1000"]
+_SEARCH_ARGV = ["search", "er", "--q", "3", "--d", "2", "--m", "1", "--r", "1", "--budget", "1000"]
+_TABLES_ARGV = ["tables", "--q", "3", "--d", "2", "--m", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(_SEARCH_ARGV, "--budget", id="--budget"),
+    pytest.param(_SEARCH_ARGV, "--d", id="--d"),
+    pytest.param(_TABLES_ARGV, "--d", id="tables--d"),
+    pytest.param(_TABLES_ARGV, "--m", id="tables--m"),
+])
+def test_non_integer_flag_exit_2(capsys, argv, flag):
+    argv = list(argv)
     argv[argv.index(flag) + 1] = "x"
     with pytest.raises(SystemExit) as info:
         cli.main(argv)

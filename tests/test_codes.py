@@ -56,14 +56,6 @@ def test_subspace_weight():
         co.subspace_weight(code, [1, 0])
 
 
-def test_codeword_polynomials():
-    code = co.build_prm(2, 2, 3)
-    poly = co.codeword_polynomials(code, [1, 0, 0, 0, 0, 2])[0]
-    assert poly.coeff((2, 0, 0)) == 1
-    assert poly.coeff((0, 0, 2)) == 2
-    assert poly.deg == 2
-
-
 def test_ghw_quadrics_on_the_line():
     code = co.build_prm(2, 1, 3)
     assert co.ghw_table(code) == (2, 3, 4)
@@ -162,13 +154,3 @@ def test_export_csv():
     parsed = [[int(x) for x in line.split(",")] for line in lines]
     assert parsed == [[int(c) for c in row] for row in code.generator]
     assert text.endswith("\n")
-
-
-def test_export_json():
-    code = co.build_prm(2, 1, 3)
-    data = co.export_generator_json(code)
-    assert data["schema"] == 1
-    assert (data["q"], data["d"], data["m"]) == (3, 2, 1)
-    assert (data["n"], data["k"]) == (4, 3)
-    assert data["basis"] == ["x0^2", "x0*x1", "x1^2"]
-    assert len(data["rows"]) == 3 and all(len(row) == 4 for row in data["rows"])

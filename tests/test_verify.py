@@ -1,6 +1,10 @@
 """Verify suites report a failing check with its first counterexample."""
 
-from footprint_lab import cli, formulas, linalg
+import dataclasses
+
+import numpy as np
+
+from footprint_lab import cli, codes, formulas, linalg
 from footprint_lab.verify import VerifyConfig, run_suites
 
 
@@ -34,6 +38,29 @@ def test_codes_dim_check_computes_the_rank(monkeypatch):
     assert dim.name.startswith("generator rank matches")
     assert dim.passed is False
     assert dim.counterexample == {"q": 2, "m": 1, "d": 1, "k": 2}
+
+
+def test_codes_min_distance_recounts_the_witness(monkeypatch):
+    """Witness rows that do not span a minimum-weight codeword fail the
+    minimum-distance check even though the scan's weight is right."""
+    def mindist():
+        (rep,) = run_suites(["codes"], VerifyConfig())
+        return rep.checks[2]
+    clean = mindist()
+    assert clean.name == "exhaustive minimum distance matches the closed form"
+    assert clean.passed
+
+    exhaustive = codes.ghw_exhaustive
+
+    def shifted_rows(code, r, **kw):
+        res = exhaustive(code, r, **kw)
+        return dataclasses.replace(res, rows=np.roll(res.rows, 1, axis=1))
+    monkeypatch.setattr(codes, "ghw_exhaustive", shifted_rows)
+    broken = mindist()
+    assert broken.passed is False
+    assert broken.cases == clean.cases
+    assert broken.counterexample == {"q": 4, "m": 1, "d": 3, "weight": 2, "formula": 2,
+                                     "recount": 3}
 
 
 def test_dependent_witness_family_is_a_failed_case(monkeypatch):
