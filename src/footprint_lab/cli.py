@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--r", type=int, required=True)
     sea.add_argument("--e", type=_nonnegative_int, default=None,
                      help="footprint degree (footprint only; default: stable degree)")
-    sea.add_argument("--mode", choices=("reduced", "all"), default="reduced",
-                     help="monomial basis for the er scan")
+    sea.add_argument("--mode", choices=("reduced", "all"), default=None,
+                     help="monomial basis for the er scan (er only; default: reduced)")
     sea.add_argument("--budget", type=_positive_int, default=None)
     sea.add_argument("--workers", type=_positive_int, default=1)
     _output_flags(sea)
@@ -142,20 +142,24 @@ def _cmd_tables(args) -> tuple[dict, int]:
 def _cmd_search(args) -> tuple[dict, int]:
     start = time.perf_counter()
     q, d, m, r = args.q, args.d, args.m, args.r
+    for flag, value, kind in (("--e", args.e, "footprint"), ("--mode", args.mode, "er")):
+        if value is not None and args.kind != kind:
+            raise ValueError(f"{flag} applies to search {kind} only, not {args.kind}")
     report = {"schema": 1, "command": "search", "kind": args.kind,
               "q": q, "d": d, "m": m, "r": r}
     if args.kind == "er":
+        mode = args.mode or "reduced"
         res = varieties.brute_force_max_points(
-            r, d, m, q, mode=args.mode, budget=args.budget, workers=args.workers)
+            r, d, m, q, mode=mode, budget=args.budget, workers=args.workers)
         # only for d <= q does the reduced basis span every degree-d form, so
         # above q the scan misses the forms vanishing on all of P^m; the
         # closed forms start at d = 1
-        settled = args.mode == "reduced" and 1 <= d <= q
+        settled = mode == "reduced" and 1 <= d <= q
         predicted, status = formulas.conjectured_max_points(r, d, m, q) if settled \
             else (None, None)
         formula = {"known": formulas.known_max_points(r, d, m, q) if settled else None,
                    "predicted": predicted, "status": status}
-        report["mode"] = args.mode
+        report["mode"] = mode
         value, witness = res.value, [p.to_json() for p in res.witness]
     elif args.kind == "affine":
         res = varieties.brute_force_affine_max_points(

@@ -123,22 +123,58 @@ def all_monomials(m: int, deg: int) -> tuple[Monomial, ...]:
     return bounded_tuples(m + 1, deg, deg, "exact")
 
 
-# Shadow masks by target list, then by generator; filled by _shadow_masks
-# and kept for the run.
-_MASKS: dict[tuple[Monomial, ...], dict[Monomial, int]] = {}
+# Per target list: its threshold columns and the shadow masks read off
+# them, by generator; filled by _shadow_masks and kept for the run.
+_MASKS: dict[tuple[Monomial, ...], tuple[list[list[int]], dict[Monomial, int]]] = {}
+
+
+def _threshold_columns(targets: tuple[Monomial, ...]) -> list[list[int]]:
+    """One column per variable j: cols[j][a] is the bitmask of the targets
+    whose j-th exponent is >= a, for a from 0 to the largest j-th exponent
+    among the targets.  targets must be nonempty and share a length."""
+    cols = []
+    for j in range(len(targets[0])):
+        col = [0] * (max(mu[j] for mu in targets) + 1)
+        for t, mu in enumerate(targets):
+            col[mu[j]] |= 1 << t
+        for a in range(len(col) - 2, -1, -1):  # exponent exactly a -> at least a
+            col[a] |= col[a + 1]
+        cols.append(col)
+    return cols
+
+
+def _member_mask(nu: Monomial, cols: list[list[int]], full: int) -> int:
+    """Bitmask of the targets nu divides: the AND of nu's threshold
+    columns, 0 once an exponent exceeds every target's.  full has a bit
+    for every target, the mask of the empty monomial."""
+    if len(nu) != len(cols):
+        raise ValueError("monomials live in different ambients")
+    mask = full
+    for col, a in zip(cols, nu):
+        if a >= len(col):
+            return 0
+        mask &= col[a]
+    return mask
 
 
 def _shadow_masks(mons, targets: tuple[Monomial, ...]) -> list[int]:
     """One int bitmask per member of mons, bit t set when it divides
-    targets[t].  A mask is built once per (member, target list) and then
-    read from the cache; targets are hashed once per call."""
-    cache = _MASKS.setdefault(targets, {})
+    targets[t].  The threshold columns are built once per target list and
+    a mask once per (member, target list), then read from the cache;
+    targets are hashed once per call."""
+    if not targets:
+        return [0 for _ in mons]
+    entry = _MASKS.get(targets)
+    if entry is None:
+        entry = _MASKS[targets] = (_threshold_columns(targets), {})
+    cols, cache = entry
+    full = (1 << len(targets)) - 1
     out = []
     for nu in mons:
         nu = tuple(nu)
         mask = cache.get(nu)
         if mask is None:
-            mask = cache[nu] = sum(1 << t for t, mu in enumerate(targets) if divides(nu, mu))
+            mask = cache[nu] = _member_mask(nu, cols, full)
         out.append(mask)
     return out
 
@@ -168,12 +204,25 @@ def footprint_sizes(pool, r: int, deg: int, q: int, m: int) -> list[int]:
     Each pool monomial's shadow mask over reduced_monomials(m, q, deg)
     comes from _shadow_masks.  A subset's shadow is the OR of its members'
     masks and its footprint is the complement, so its size is the number
-    of targets minus the popcount.  This costs at most len(pool) *
-    len(target) divisibility tests in all, not one per subset and target."""
+    of targets minus the popcount.  The walk is prefix-OR: each head, an
+    (r-1)-subset of all but the last member, ORs its masks once, and every
+    later member w gives one size from head | w.  That is combinations
+    order, at one OR per subset beyond the heads'; r = 0 gives the empty
+    subset's size alone."""
     target = reduced_monomials(m, q, deg)
     masks = _shadow_masks(pool, target)
-    return [len(target) - reduce(operator.or_, combo, 0).bit_count()
-            for combo in itertools.combinations(masks, r)]
+    size = len(target)
+    if r == 0:
+        return [size]
+    # every member but the last, with the members after it
+    heads = [(w, masks[i + 1:]) for i, w in enumerate(masks[:-1])]
+    out = []
+    for head in itertools.combinations(heads, r - 1):
+        pre = 0
+        for w, _ in head:
+            pre |= w
+        out += [size - (pre | w).bit_count() for w in (head[-1][1] if head else masks)]
+    return out
 
 
 def restrict_level(mons, lv: int, q: int) -> list[Monomial]:

@@ -161,9 +161,11 @@ def brute_force_max_footprint(r: int, d: int, m: int, q: int, e: int, *,
     itertools.combinations order.
 
     Subset sizes come from monomials.footprint_sizes: one shadow bitmask
-    per monomial over the degree-e targets, OR'd per subset, so the scan
-    does k * |target| divisibility tests and r mask ORs per subset.  The
-    budget is charged that: k * |target| + C(k, r) * r."""
+    per monomial over the degree-e targets, read off per-variable threshold
+    columns, and one OR per subset on a prefix-OR walk.  The budget prices
+    the scan at k * |target| + C(k, r) * r, a size estimate rather than a
+    count of divisibility tests; the witness is rebuilt from the index of
+    the first maximum."""
     pool = monomials.reduced_monomials(m, q, d)
     k = len(pool)
     if not 1 <= r <= k:
@@ -171,11 +173,9 @@ def brute_force_max_footprint(r: int, d: int, m: int, q: int, e: int, *,
     target = monomials.reduced_monomials(m, q, e)
     total = math.comb(k, r)
     runtime.charge_budget(k * len(target) + total * r, budget, "footprint subset scan")
-    best, best_set = -1, None
-    for combo, size in zip(itertools.combinations(pool, r),
-                           monomials.footprint_sizes(pool, r, e, q, m)):
-        if size > best:
-            best, best_set = size, combo
+    sizes = monomials.footprint_sizes(pool, r, e, q, m)
+    best = max(sizes)
+    best_set = next(itertools.islice(itertools.combinations(pool, r), sizes.index(best), None))
     return SearchResult(value=best, witness=best_set, enumerated=total)
 
 

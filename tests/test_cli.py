@@ -122,6 +122,29 @@ def test_search_footprint_negative_degree_exit_2(capsys):
     assert "--e: must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, flag", [("er", "--e 5"), ("affine", "--e 5"), ("ghw", "--e 5"),
+                                        ("affine", "--mode all"), ("footprint", "--mode all"),
+                                        ("ghw", "--mode reduced")])
+def test_search_flag_of_another_kind_exit_2(capsys, kind, flag):
+    """--e belongs to search footprint and --mode to search er; any other
+    kind refuses them with one line instead of ignoring them."""
+    code, out, err = run_cli(capsys, "search", kind, "--q", "3", "--d", "2", "--m", "2",
+                             "--r", "1", *flag.split())
+    assert code == 2
+    assert out == ""
+    name, kind_of = flag.split()[0], "footprint" if flag.startswith("--e") else "er"
+    assert err == f"invalid input: {name} applies to search {kind_of} only, not {kind}\n"
+
+
+def test_search_er_mode_defaults_to_reduced(capsys):
+    argv = ["search", "er", "--q", "3", "--d", "2", "--m", "2", "--r", "1"]
+    reports = [json.loads(run_cli(capsys, *argv, *extra)[1])
+               for extra in ((), ("--mode", "reduced"), ("--mode", "all"))]
+    assert [rep["mode"] for rep in reports] == ["reduced", "reduced", "all"]
+    assert reports[0]["value"] == reports[1]["value"] == 7
+    assert reports[2]["formula"] == {"known": None, "predicted": None, "status": None}
+
+
 @pytest.mark.parametrize("kind", ["er", "affine", "footprint", "ghw"])
 @pytest.mark.parametrize("flag", ["--d", "--m"])
 def test_search_negative_degree_or_dimension_exit_2(capsys, kind, flag):

@@ -116,7 +116,8 @@ def test_footprint_sizes_match_footprint(data, q, m):
     d = data.draw(st.integers(1, q), label="d")
     pool = data.draw(st.lists(st.sampled_from(mo.reduced_monomials(m, q, d)),
                               min_size=1, max_size=7, unique=True), label="pool")
-    r = data.draw(st.integers(1, len(pool)), label="r")
+    # the empty subset, every subset size, and one size past the pool
+    r = data.draw(st.integers(0, len(pool) + 1), label="r")
     estar = mo.stable_degree(d, m, q)
     # zero, below the pool's degree, just below, at and above the stable degree
     e = data.draw(st.sampled_from((0, d - 1, d, estar - 1, estar, estar + 2)), label="e")
@@ -166,25 +167,35 @@ def test_mixed_ambients_raise():
 
 
 def test_expander_tests_each_generator_once_per_target_list(monkeypatch):
-    """suite_expander on its default grid (q = 3, m = 2, d = 2) takes at
-    most one divisibility test per pool monomial and target of each target
-    list its footprints read, however many subsets it walks."""
+    """suite_expander on its default grid (q = 3, m = 2, d = 2) builds at
+    most one threshold table per target list its footprints read, and at
+    most one shadow mask per pool monomial and target list, however many
+    subsets it walks."""
     q, m, d = 3, 2, 2
     estar = mo.stable_degree(d, m, q)
     target_lists = {mo.reduced_monomials(m, q, e) for e in range(d, estar + 3)}
     target_lists |= {mo.reduced_monomials(m, q, e, lv)
                      for e in range(estar, estar + 3) for lv in (m - 1, m)}
-    bound = len(mo.reduced_monomials(m, q, d)) * sum(map(len, target_lists))
-    calls = []
+    pool = mo.reduced_monomials(m, q, d)
+    tables, masks = [], []
+    threshold_columns, member_mask = mo._threshold_columns, mo._member_mask
 
-    def counting_divides(nu, mu):
-        calls.append(None)
-        return all(a <= b for a, b in zip(nu, mu))
-    monkeypatch.setattr(mo, "_MASKS", {}, raising=False)  # start from an empty cache
-    monkeypatch.setattr(mo, "divides", counting_divides)
+    def counting_columns(targets):
+        tables.append(targets)
+        return threshold_columns(targets)
+
+    def counting_mask(nu, cols, full):
+        masks.append(nu)
+        return member_mask(nu, cols, full)
+    monkeypatch.setattr(mo, "_MASKS", {})  # start from an empty cache
+    monkeypatch.setattr(mo, "_threshold_columns", counting_columns)
+    monkeypatch.setattr(mo, "_member_mask", counting_mask)
     rep = verify.suite_expander(verify.VerifyConfig())
     assert rep.passed
-    assert 0 < len(calls) <= bound
+    assert set(tables) <= target_lists
+    assert 0 < len(tables) <= len(target_lists)
+    assert set(masks) <= set(pool)
+    assert 0 < len(masks) <= len(pool) * len(target_lists)
 
 
 def test_restrict_level():
