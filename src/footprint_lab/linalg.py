@@ -6,15 +6,15 @@ lexicographic order, free entries in odometer order (last position
 fastest), which fixes the canonical order of the subspaces.
 
 Within one pivot pattern the rows of an RREF matrix vary independently,
-so rref_batches lays the pattern out as a grid with one axis per row (row
-i varies along axis i only).  The grid is stored entry-major, so each row
-is written by one broadcast along whole grid axes, and handed out as a
-(grid..., r, k) view.  The scan kernel reads row i's values off one line
-along axis i of that grid, multiplies the r lines by the evaluation matrix
-in one product per block instead of once per subspace, packs the zero
-columns into uint64 masks and, one mask word at a time, intersects the
-rows' masks with a broadcast AND and popcounts them, so a subspace costs
-about ceil(n/64) word operations.
+so an RrefGrid stands for the pattern as a grid with one axis per row and
+makes any row's values on demand.  The scan kernel multiplies each row's
+values by the evaluation matrix once per pattern instead of once per
+subspace, packs the zero columns into row tables of uint64 masks and walks
+the grid in chunks of at most CHUNK_CAP matrices: AND the head rows'
+masks, AND them with the last row's table, popcount.  A subspace costs
+about ceil(n/64) word operations, and the kernel keeps only the pattern's
+maximum and the index of its first maximizer, from which the witness is
+rebuilt.
 
 Every product over F_q, q = p^e, is one float64 BLAS product over F_p
 (matmul): the right factor's entries become their e x e multiplication
@@ -35,9 +35,9 @@ import numpy as np
 from .gf import FieldSpec, make_field
 from .runtime import run_chunks, split_chunks
 
-# Most matrices in one rref_batches block; their packed masks are the
-# kernel's largest intermediate.
-BLOCK_CAP = 2**14
+# Most matrices, row values or grid lines in one intermediate of the scan
+# kernel: a chunk's AND and popcount, a row table's product, the head rows' AND.
+CHUNK_CAP = 2**14
 
 # Most float64 entries in one matmul temporary.  matmul multiplies the rows
 # of its left operand in slices, so the digit-expanded slice and its product
@@ -48,12 +48,13 @@ PRODUCT_CAP = 2**15
 
 # Least priced work (subspaces x points) that a process pool has to take
 # off a scan's largest chunk before one is started.  On a 2-CPU x86-64
-# machine a fork pool costs about 0.0105 s more than running the same
-# chunks in-process, and one process scans about 2.1e8 subspace-points
-# per second (median over seven scans of 0.1 to 8 s, r = 1 to 3, q = 3 to
-# 8: 6.9e7 to 8.2e8), so below 0.0105 s x 2.1e8 the pool cannot win back
-# its start-up.
-POOL_MIN_WORK = 22 * 10**5
+# machine a fork pool costs about 0.005 s more than running the same
+# chunks in-process (median over seven scans of 1 ms to 0.5 s), and one
+# process scans about 1.5e10 subspace-points per second (median over
+# seven scans of 0.1 to 8 s, r = 1 to 3, q = 3 to 8: 2.5e8 to 6.6e10, the
+# r = 1 scans, which multiply every subspace, below 5e8), so below
+# 0.005 s x 1.5e10 the pool cannot win back its start-up.
+POOL_MIN_WORK = 75 * 10**6
 
 
 def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,100 +161,97 @@ def pattern_size(pivots: tuple[int, ...], k: int, q: int) -> int:
     return q ** sum(map(len, _free_columns(pivots, k)))
 
 
-def _row_values(q: int, k: int, pivot: int, cols: list[int], idx: np.ndarray) -> np.ndarray:
-    """One RREF row per odometer index in idx, entry-major (k, len(idx)):
-    1 at the pivot, the index's base-q digits at the free columns cols
-    (last column fastest)."""
-    out = np.zeros((k, len(idx)), dtype=np.uint8)
-    out[pivot] = 1
-    for c in reversed(cols):
-        # a scalar divisor: numpy divides without a division instruction per entry
-        idx, out[c] = np.divmod(idx, q)
-    return out
+class RrefGrid:
+    """Every RREF matrix with the given pivot columns, as a grid of shape
+    (n_0, ..., n_{r-1}) whose C order is the canonical order: row i has f_i
+    free entries and takes n_i = q**f_i values, whatever the other rows
+    hold.  shape appends (r, k); nothing is built up front."""
+
+    def __init__(self, q: int, k: int, pivots: tuple[int, ...]):
+        self.q, self.pivots = q, pivots
+        self.free = _free_columns(pivots, k)
+        self.shape = tuple(q ** len(f) for f in self.free) + (len(pivots), k)
+
+    def rows(self, i: int, idx: np.ndarray) -> np.ndarray:
+        """Row i at each odometer index in idx, (len(idx), k): 1 at the
+        pivot, the index's base-q digits at the free columns (last column
+        fastest)."""
+        out = np.zeros((self.shape[-1], len(idx)), dtype=np.uint8)  # each column contiguous
+        out[self.pivots[i]] = 1
+        for c in reversed(self.free[i]):
+            # a scalar divisor: numpy divides without a division instruction per entry
+            idx, out[c] = np.divmod(idx, self.q)
+        return out.T
+
+    def __getitem__(self, index) -> np.ndarray:
+        return np.concatenate([self.rows(i, np.array([j])) for i, j in enumerate(index)])
 
 
-def rref_batches(q: int, k: int, pivots: tuple[int, ...]):
-    """Yield blocks covering every RREF matrix with the given pivot
-    columns, in the canonical order.
+def _zero_masks(field: FieldSpec, values: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """The zero columns of values @ mat, values (len, k), as word-major bit
+    masks (ceil(n/64), len) of uint64, multiplied CHUNK_CAP rows at a time."""
+    masks = np.empty((-(-mat.shape[1] // 64), len(values)), dtype=np.uint64)
+    for lo in range(0, len(values), CHUNK_CAP):
+        part = values[lo:lo + CHUNK_CAP]
+        packed = np.packbits(matmul(field, part, mat) == 0, axis=-1, bitorder="little")
+        words = np.zeros((len(part), 8 * len(masks)), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        masks[:, lo:lo + len(part)] = words.view(np.uint64).T
+    return masks
 
-    Row i has f_i free entries and takes n_i = q**f_i values, whatever the
-    other rows hold, so the matrices form a grid: a block has shape
-    (n_0, ..., n_{r-1}, r, k) (or a slice of it), with row i varying along
-    axis i only.  The blocks' C orders, one block after the other, are the
-    canonical order.  Axes are split from the left so that no block holds
-    more than BLOCK_CAP matrices: the axes after the split axis are whole,
-    the split axis is cut into slices, and the axes before it take one
-    value per block.
 
-    Each block is built entry-major, as (r, k, n_0, ..., n_{r-1}), so row
-    i is written by one broadcast of its (k, n_i) values along the grid
-    axes, and yielded as a moveaxis view with the shape above.
+def zero_column_counts(field: FieldSpec, grid: RrefGrid, mat: np.ndarray) -> tuple[int, int]:
+    """The largest number of columns of matrix @ mat that vanish
+    identically over the (r, k) matrices of grid, and the first C-order
+    grid index that reaches it.
+
+    grid is an RrefGrid, or anything with its shape and rows.  Each row of
+    at most CHUNK_CAP values gets a table of packed zero masks, all such
+    rows in one product; a longer row is multiplied in slices as the walk
+    reads it.  The walk ANDs the head rows 0..r-2 for up to CHUNK_CAP grid
+    lines at a time, then ANDs runs of those lines with the last row's
+    table, at most CHUNK_CAP matrices per chunk, and popcounts them.
     """
-    r = len(pivots)
-    free = _free_columns(pivots, k)
-    sizes = [q ** len(f) for f in free]
-    tails = [math.prod(sizes[i:]) for i in range(r + 1)]  # tails[i + 1]: step of axis i
-    split = next(i for i in range(r + 1) if tails[i] <= BLOCK_CAP)
-    whole = [(0, n) for n in sizes[split:]]
-    if split == 0:
-        spans = [whole]
-    else:
-        n, step = sizes[split - 1], BLOCK_CAP // tails[split]
-        spans = ([*((h, h + 1) for h in head), (lo, min(lo + step, n)), *whole]
-                 for head in itertools.product(*map(range, sizes[:split - 1]))
-                 for lo in range(0, n, step))
-    for span in spans:
-        block = np.empty((r, k) + tuple(hi - lo for lo, hi in span), dtype=np.uint8)
-        for i, (lo, hi) in enumerate(span):
-            values = _row_values(q, k, pivots[i], free[i], np.arange(lo, hi))
-            block[i] = values.reshape((k,) + (1,) * i + (hi - lo,) + (1,) * (r - 1 - i))
-        yield np.moveaxis(block, (0, 1), (-2, -1))
+    *sizes, r, _ = grid.shape
+    if len(sizes) != r:
+        raise ValueError(f"grid of shape {grid.shape} is not (n_0, ..., n_{{r-1}}, r, k)")
+    fit = [i for i in range(r) if sizes[i] <= CHUNK_CAP]
+    tables = dict.fromkeys(range(r))
+    if fit:
+        values = np.concatenate([grid.rows(i, np.arange(sizes[i])) for i in fit])
+        ends = np.cumsum([sizes[i] for i in fit[:-1]])
+        tables.update(zip(fit, np.split(_zero_masks(field, values, mat), ends, axis=1)))
 
+    def head_masks(i, idx):
+        if tables[i] is not None:
+            return tables[i][:, idx]
+        # a head row over the cap is multiplied at the chunk's distinct indices
+        values, inverse = np.unique(idx, return_inverse=True)
+        return _zero_masks(field, grid.rows(i, values), mat)[:, inverse]
 
-def _zero_words(values: np.ndarray) -> np.ndarray:
-    """The zero columns of values (..., n) as bit masks (..., ceil(n/64)) of uint64."""
-    packed = np.packbits(values == 0, axis=-1, bitorder="little")
-    nbytes = packed.shape[-1]
-    words = np.zeros(packed.shape[:-1] + (nbytes + -nbytes % 8,), dtype=np.uint8)
-    words[..., :nbytes] = packed
-    return words.view(np.uint64)
-
-
-def zero_column_counts(field: FieldSpec, blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """For each (r, k) matrix of an rref_batches block, of shape
-    (n_0, ..., n_{r-1}, r, k), the number of columns of matrix @ mat that
-    vanish identically.
-
-    Row i varies along axis i only, so its n_i values are read off one
-    line along that axis; the r lines are stacked and multiplied by mat in
-    one product.  Their zero columns are packed into uint64 masks, and for
-    each mask word the rows' words are intersected with a broadcast AND
-    over the block's axes and popcounted into the counts.
-    """
-    blocks = np.asarray(blocks, dtype=np.uint8)
-    r = blocks.shape[-2]
-    if blocks.ndim != r + 2:
-        raise ValueError(f"block of shape {blocks.shape} is not an (n_0, ..., n_{{r-1}}, r, k) grid")
-    grid = blocks.shape[:-2]
-    if r == 0:
-        return np.full(grid, mat.shape[1], dtype=np.int64)
-    lines = [blocks[(0,) * i + (slice(None),) + (0,) * (r - 1 - i) + (i,)] for i in range(r)]
-    stacked = lines[0] if r == 1 else np.concatenate(lines)  # an r = 1 block is its own line
-    words = _zero_words(matmul(field, stacked, mat)).T  # (words, sum of n_i)
-    ends = np.cumsum(grid)
-    counts = np.zeros(grid, dtype=np.int64)
-    both = np.empty(grid, dtype=np.uint64)
-    for word in words:
-        masks = [word[end - n_i:end].reshape((1,) * i + (n_i,) + (1,) * (r - 1 - i))
-                 for i, (end, n_i) in enumerate(zip(ends, grid))]
-        # the AND grows axis by axis, and only the last step, written into
-        # one buffer per block, spans the whole grid (r = 1 ANDs its one
-        # mask with itself)
-        partial = masks[0]
-        for mask in masks[1:-1]:
-            partial = partial & mask
-        counts += np.bitwise_count(np.bitwise_and(partial, masks[-1], out=both))
-    return counts
+    heads, last, n = sizes[:-1], sizes[-1], mat.shape[1]
+    count_type = np.min_scalar_type(n)  # the narrowest counts that hold n
+    best, first = -1, 0
+    for h0 in range(0, math.prod(heads), CHUNK_CAP):
+        lines = np.arange(h0, min(h0 + CHUNK_CAP, math.prod(heads)))
+        head = np.full((-(-n // 64), len(lines)), ~np.uint64(0))
+        for i, idx in enumerate(np.unravel_index(lines, heads) if heads else ()):
+            head &= head_masks(i, idx)
+        for l0 in range(0, last, CHUNK_CAP):
+            span = np.arange(l0, min(l0 + CHUNK_CAP, last))
+            tail = (_zero_masks(field, grid.rows(r - 1, span), mat) if last > CHUNK_CAP
+                    else tables[r - 1])
+            step = CHUNK_CAP // len(span)
+            for s in range(0, len(lines), step):
+                counts = np.bitwise_count(head[:, s:s + step, None] & tail[:, None])
+                counts = counts.sum(axis=0, dtype=count_type)
+                arg = int(np.argmax(counts))
+                top = int(counts.flat[arg])
+                index = int(lines[s + arg // len(span)]) * last + l0 + arg % len(span)
+                # the last row's slices come out of C order when it is over the cap
+                if top > best or top == best and index < first:
+                    best, first = top, index
+    return best, first
 
 
 def _zero_scan_chunk(args):
@@ -263,15 +261,12 @@ def _zero_scan_chunk(args):
     enumerated = 0
     maxima = []
     for pivots in combos:
-        top = -1
-        for block in rref_batches(q, k, pivots):
-            counts = zero_column_counts(field, block, mat)
-            enumerated += counts.size
-            arg = int(np.argmax(counts))
-            top = max(top, int(counts.flat[arg]))
-            if top > best_count:
-                best_count = top
-                best_rref = block[np.unravel_index(arg, counts.shape)].copy()
+        grid = RrefGrid(q, k, pivots)
+        top, index = zero_column_counts(field, grid, mat)
+        enumerated += math.prod(grid.shape[:-2])
+        if top > best_count:
+            best_count = top
+            best_rref = grid[np.unravel_index(index, grid.shape[:-2])]
         maxima.append(top)
     return best_count, best_rref, enumerated, maxima
 

@@ -1,8 +1,9 @@
-"""The F_q product, the evaluation matrix, the grid-block RREF walk and the
-packed-mask kernel, against naive references: the per-term table-lookup
+"""The F_q product, the evaluation matrix, the factored RREF grid and the
+row-table kernel, against naive references: the per-term table-lookup
 product, scalar powers and an itertools odometer."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,39 @@ def _naive_rrefs(q, k, pivots):
         yield mat
 
 
+class _TableGrid:
+    """A factored grid over explicit row tables: row i takes the n_i
+    values of tables[i], whatever the other rows hold."""
+
+    def __init__(self, tables):
+        self.tables = [np.asarray(t, dtype=np.uint8) for t in tables]
+        self.shape = tuple(map(len, self.tables)) + (len(tables), self.tables[0].shape[1])
+
+    def rows(self, i, idx):
+        return self.tables[i][idx]
+
+    def __getitem__(self, index):
+        return np.stack([self.tables[i][j] for i, j in enumerate(index)])
+
+
+def _random_grid(rng, q, k, sizes):
+    """Random row tables, half their entries zero."""
+    tables = []
+    for n_i in sizes:
+        rows = rng.integers(0, q, size=(n_i, k), dtype=np.uint8)
+        rows[rng.random(rows.shape) < 0.5] = 0
+        tables.append(rows)
+    return _TableGrid(tables)
+
+
+def _reference_max(field, grid, mat):
+    """Largest zero-column count over the grid's matrices and the first
+    C-order index of it, from every matrix built out."""
+    blocks = np.array([grid[index] for index in np.ndindex(grid.shape[:-2])])
+    counts = _reference_counts(field, blocks, mat)
+    return int(counts.max()), int(np.argmax(counts))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
 def test_kernel_matches_table_product(monkeypatch, q, n):
@@ -97,40 +131,59 @@ def test_kernel_matches_table_product(monkeypatch, q, n):
     rng = np.random.default_rng(q * 1000 + n)
     k = 4
     mat = _sparse_matrix(rng, q, k, n)
-    for lead in ((200,), (9, 11), (5, 1, 7)):
-        r = len(lead)
-        blocks = np.empty(lead + (r, k), dtype=np.uint8)
-        for i, n_i in enumerate(lead):
-            # random values of row i, each broadcast along axis i only
-            rows = rng.integers(0, q, size=(n_i, k), dtype=np.uint8)
-            rows[rng.random(rows.shape) < 0.5] = 0
-            blocks[..., i, :] = rows.reshape((1,) * i + (n_i,) + (1,) * (r - 1 - i) + (k,))
-        got = linalg.zero_column_counts(field, blocks, mat)
-        assert got.shape == lead
-        assert np.array_equal(got, _reference_counts(field, blocks, mat))
+    for sizes in ((200,), (9, 11), (9, 3), (5, 1, 7)):
+        grid = _random_grid(rng, q, k, sizes)
+        want = _reference_max(field, grid, mat)
+        # the whole grid in one chunk; rows that fit but several lines per
+        # chunk; then head and last rows over the cap, down to one matrix
+        # per chunk
+        for cap in (2**14, 60, 4, 1):
+            monkeypatch.setattr(linalg, "CHUNK_CAP", cap)
+            assert linalg.zero_column_counts(field, grid, mat) == want, (sizes, cap)
         # no columns, no mask words: every matrix has all n = 0 columns zero
-        assert n or not got.any()
-    monkeypatch.setattr(linalg, "BLOCK_CAP", 60)
-    for pivots in ((0, 2), (0, 1, 3), (0,)):
-        for block in linalg.rref_batches(q, k, pivots):
-            got = linalg.zero_column_counts(field, block, mat)
-            assert got.shape == block.shape[:-2]
-            assert np.array_equal(got, _reference_counts(field, block, mat))
+        assert n or want == (0, 0)
 
 
-def test_kernel_multiplies_once_per_block(monkeypatch):
+def test_kernel_counts_past_every_narrow_integer():
+    # 70,000 columns, all but one zero: counts of 69,999 or more fit no uint16
+    field = make_field(3)
+    mat = np.zeros((4, 70_000), dtype=np.uint8)
+    mat[:, 0] = [0, 1, 2, 1]
+    grid = _random_grid(np.random.default_rng(7), 3, 4, (5, 3))
+    want = _reference_max(field, grid, mat)
+    assert want[0] >= 69_999
+    assert linalg.zero_column_counts(field, grid, mat) == want
+
+
+def test_kernel_keeps_the_first_maximizer_across_slices(monkeypatch):
+    # rows 2 x 4 and a cap of 2: the last row goes in two slices, so the
+    # tie at grid index (1, 0) is met before the earlier one at (0, 2)
+    field = make_field(3)
+    grid = _TableGrid([[[0, 0, 1, 1], [1, 1, 0, 0]],
+                       [[1, 1, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]]])
+    mat = np.eye(4, dtype=np.uint8)
+    assert _reference_max(field, grid, mat) == (2, 2)
+    monkeypatch.setattr(linalg, "CHUNK_CAP", 2)
+    assert linalg.zero_column_counts(field, grid, mat) == (2, 2)
+
+
+def test_kernel_multiplies_once_per_pattern(monkeypatch):
     field = make_field(3)
     mat = _sparse_matrix(np.random.default_rng(3), 3, 6, 70)
     calls = []
     product = linalg.matmul
     monkeypatch.setattr(linalg, "matmul", lambda *args: calls.append(args) or product(*args))
-    monkeypatch.setattr(linalg, "BLOCK_CAP", 50)
     for pivots in ((0,), (0, 2), (0, 1, 3), (1, 2, 4)):
-        for block in linalg.rref_batches(3, 6, pivots):
+        grid = linalg.RrefGrid(3, 6, pivots)
+        sizes = grid.shape[:-2]
+        want = _reference_max(field, grid, mat)
+        # each row's values are multiplied once, CHUNK_CAP of them per product
+        for cap in (2**14, max(sizes), max(sizes) + 1):
+            monkeypatch.setattr(linalg, "CHUNK_CAP", cap)
             calls.clear()
-            got = linalg.zero_column_counts(field, block, mat)
-            assert len(calls) == 1
-            assert np.array_equal(got, _reference_counts(field, block, mat))
+            assert linalg.zero_column_counts(field, grid, mat) == want
+            assert len(calls) == -(-sum(sizes) // cap)
+        assert sum(sizes) <= 2**14
 
 
 def test_kernel_rejects_blocks_that_are_not_grids():
@@ -142,26 +195,28 @@ def test_kernel_rejects_blocks_that_are_not_grids():
 
 
 @pytest.mark.parametrize("q, k, pivots, cap", [
-    (3, 5, (0, 1), 2**14),     # one block holds the whole grid
-    (3, 5, (0, 1), 10),        # rows 27 x 27: the second axis splits
-    (2, 6, (0, 2, 3), 5),      # rows 8 x 4 x 4: lower product 16 exceeds the cap
-    (2, 6, (0, 1, 2), 3),      # rows 8 x 8 x 8: the last axis alone exceeds the cap
-    (4, 4, (1, 3), 3),         # rows 4 x 1: the first axis splits
+    (3, 5, (0, 1), 2**14),     # one chunk holds the whole grid
+    (3, 5, (0, 1), 10),        # rows 27 x 27: every row is over the cap
+    (2, 6, (0, 2, 3), 5),      # rows 8 x 4 x 4: only the first row is over the cap
+    (2, 6, (0, 1, 2), 3),      # rows 8 x 8 x 8: the last row alone exceeds the cap
+    (4, 4, (1, 3), 3),         # rows 4 x 1: the head row is over the cap, 3 lines a chunk
     (5, 3, (0, 1, 2), 4),      # no free entries: a single matrix
 ])
 def test_rref_batches_follow_the_odometer(monkeypatch, q, k, pivots, cap):
-    monkeypatch.setattr(linalg, "BLOCK_CAP", cap)
+    """RrefGrid indexes a pattern's matrices in odometer order, and the
+    kernel's chunks at the cap find the first maximizer of that order."""
     expected = list(_naive_rrefs(q, k, pivots))
-    assert len(expected) == linalg.pattern_size(pivots, k, q)
-    seen = 0
-    for block in linalg.rref_batches(q, k, pivots):
-        assert block.ndim == len(pivots) + 2
-        flat = block.reshape(-1, len(pivots), k)
-        assert 1 <= len(flat) <= cap
-        for mat in flat:
-            assert np.array_equal(mat, expected[seen])
-            seen += 1
-    assert seen == len(expected)
+    grid = linalg.RrefGrid(q, k, pivots)
+    assert grid.shape[-2:] == (len(pivots), k)
+    assert math.prod(grid.shape[:-2]) == len(expected) == linalg.pattern_size(pivots, k, q)
+    for j, mat in enumerate(expected):
+        got = grid[np.unravel_index(j, grid.shape[:-2])]
+        assert got.dtype == np.uint8 and np.array_equal(got, mat)
+    monkeypatch.setattr(linalg, "CHUNK_CAP", cap)
+    field = make_field(q)
+    mat = _sparse_matrix(np.random.default_rng(q * 10 + cap), q, k, 40)
+    counts = _reference_counts(field, np.array(expected), mat)
+    assert linalg.zero_column_counts(field, grid, mat) == (counts.max(), np.argmax(counts))
 
 
 def _naive_scan(q, mat, r):
@@ -180,18 +235,24 @@ def _naive_scan(q, mat, r):
 
 
 @pytest.mark.parametrize("q, k, r, n, cap", [
-    # the (0, 1, 2) pattern holds 3**9 > BLOCK_CAP matrices
+    # the (0, 1, 2) pattern holds 3**9 > CHUNK_CAP matrices
     pytest.param(3, 6, 3, 13, None, id="3-6-3-13"),
     pytest.param(4, 4, 2, 21, None, id="4-4-2-21"),
     pytest.param(2, 7, 2, 70, None, id="2-7-2-70"),
-    # blocks of at most 7 split the 8 x 8 x 8 pattern (0, 1, 2) into 128
-    # blocks, and the earliest maximizer is its matrix 34, in its 9th block
+    # chunks of at most 7 split the 8 x 8 x 8 pattern (0, 1, 2) into 128,
+    # and the earliest maximizer is its matrix 34, in its 5th chunk
     pytest.param(2, 6, 3, 12, 7, id="2-6-3-12-cap7"),
+    # r = 1: the earliest maximizer is matrix 11 of pattern (1,), whose one
+    # row of 27 values is multiplied in slices of 10
+    pytest.param(3, 5, 1, 11, 10, id="3-5-1-11-cap10"),
+    # the earliest maximizer is matrix 180 of the 27 x 9 pattern (0, 2),
+    # whose last row alone exceeds the cap
+    pytest.param(3, 5, 2, 8, 5, id="3-5-2-8-cap5"),
 ])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_matches_naive_enumeration(monkeypatch, q, k, r, n, cap, workers):
     if cap is not None:
-        monkeypatch.setattr(linalg, "BLOCK_CAP", cap)
+        monkeypatch.setattr(linalg, "CHUNK_CAP", cap)
     rng = np.random.default_rng(q * 100 + k * 10 + r)
     mat = _sparse_matrix(rng, q, k, n)
     count, witness, enumerated, maxima = linalg.scan_max_zero_columns(q, mat, r, workers)
@@ -205,7 +266,7 @@ def test_scan_matches_naive_enumeration(monkeypatch, q, k, r, n, cap, workers):
         pivots = tuple(int(np.flatnonzero(row)[0]) for row in naive_witness)
         position = next(j for j, rref in enumerate(_naive_rrefs(q, k, pivots))
                         if np.array_equal(rref, naive_witness))
-        assert position >= cap  # past the first block of its pattern
+        assert position >= cap  # past the first chunk of its pattern
 
 
 def _reference_row_reduce(field, mat):
