@@ -7,14 +7,19 @@ fastest), which fixes the canonical order of the subspaces.
 
 Within one pivot pattern the rows of an RREF matrix vary independently,
 so an RrefGrid stands for the pattern as a grid with one axis per row and
-makes any row's values on demand.  The scan kernel multiplies each row's
-values by the evaluation matrix once per pattern instead of once per
-subspace, packs the zero columns into row tables of uint64 masks and walks
-the grid in chunks of at most CHUNK_CAP matrices: AND the head rows'
-masks, AND them with the last row's table, popcount.  A subspace costs
-about ceil(n/64) word operations, and the kernel keeps only the pattern's
-maximum and the index of its first maximizer, from which the witness is
-rebuilt.
+makes any row's values on demand.  A row's zero columns depend only on
+the row, so a RowTable, built once per scan, holds the packed uint64 zero
+masks and popcounts of every vector with a leading 1, one block per
+leading position of at most CHUNK_CAP vectors; a row of a pattern is a
+slice of its pivot's block.  Rows from larger blocks are multiplied once
+per pattern, or in slices when over the cap.
+
+The scan kernel, zero_column_counts, is a branch and bound over one
+pattern's rows that keeps the maximum and the index of its first
+maximizer, from which the witness is rebuilt, exact.  Each chunk of
+patterns passes its best count so far to the next pattern as the floor
+to prune at, lowered to the pattern's bound when bounds are given, and
+every subspace still counts as enumerated.
 
 Every product over F_q, q = p^e, is one float64 BLAS product over F_p
 (matmul): the right factor's entries become their e x e multiplication
@@ -36,7 +41,8 @@ from .gf import FieldSpec, make_field
 from .runtime import run_chunks, split_chunks
 
 # Most matrices, row values or grid lines in one intermediate of the scan
-# kernel: a chunk's AND and popcount, a row table's product, the head rows' AND.
+# kernel: a batch of ANDs and popcounts, a row's product, a slice of a row
+# over the cap; and the most vectors in one stored block of a RowTable.
 CHUNK_CAP = 2**14
 
 # Most float64 entries in one matmul temporary.  matmul multiplies the rows
@@ -165,10 +171,12 @@ class RrefGrid:
     """Every RREF matrix with the given pivot columns, as a grid of shape
     (n_0, ..., n_{r-1}) whose C order is the canonical order: row i has f_i
     free entries and takes n_i = q**f_i values, whatever the other rows
-    hold.  shape appends (r, k); nothing is built up front."""
+    hold.  shape appends (r, k); nothing is built up front.  table, a
+    RowTable of the scan's matrix or None, is where the kernel reads the
+    rows' zero masks from."""
 
-    def __init__(self, q: int, k: int, pivots: tuple[int, ...]):
-        self.q, self.pivots = q, pivots
+    def __init__(self, q: int, k: int, pivots: tuple[int, ...], table: RowTable | None = None):
+        self.q, self.pivots, self.table = q, pivots, table
         self.free = _free_columns(pivots, k)
         self.shape = tuple(q ** len(f) for f in self.free) + (len(pivots), k)
 
@@ -193,113 +201,267 @@ def _zero_masks(field: FieldSpec, values: np.ndarray, mat: np.ndarray) -> np.nda
     masks = np.empty((-(-mat.shape[1] // 64), len(values)), dtype=np.uint64)
     for lo in range(0, len(values), CHUNK_CAP):
         part = values[lo:lo + CHUNK_CAP]
-        packed = np.packbits(matmul(field, part, mat) == 0, axis=-1, bitorder="little")
+        product = matmul(field, part, mat)
+        # the zero flags overwrite the product's own bytes: a second
+        # CHUNK_CAP x n temporary was the kernel's largest
+        zero = np.equal(product, 0, out=product.view(np.bool_))
+        packed = np.packbits(zero, axis=-1, bitorder="little")
         words = np.zeros((len(part), 8 * len(masks)), dtype=np.uint8)
         words[:, :packed.shape[1]] = packed
         masks[:, lo:lo + len(part)] = words.view(np.uint64).T
     return masks
 
 
-def zero_column_counts(field: FieldSpec, grid: RrefGrid, mat: np.ndarray) -> tuple[int, int]:
+def _popcounts(masks: np.ndarray, n: int) -> np.ndarray:
+    """Set bits of word-major masks, summed over the words into the
+    narrowest integers that hold n."""
+    return np.bitwise_count(masks).sum(axis=0, dtype=np.min_scalar_type(n))
+
+
+class RowTable:
+    """Zero masks of row @ mat for every row vector with a leading 1, one
+    block per position p of that 1.
+
+    Block p holds the packed masks (ceil(n/64), q, ..., q) and popcounts
+    (q, ..., q) of the q**(k-1-p) vectors with entries at columns
+    p+1..k-1, one axis per column, or None when that is more than
+    CHUNK_CAP vectors.  Row i of an RREF pattern takes 0 at the later
+    pivots, so its masks are block p_i read at index 0 on those axes."""
+
+    def __init__(self, field: FieldSpec, mat: np.ndarray):
+        q, (k, n) = field.q, mat.shape
+        lead = next((p for p in range(k) if q ** (k - 1 - p) <= CHUNK_CAP), k)
+        sizes = [q ** (k - 1 - p) for p in range(lead, k)]
+        values = [RrefGrid(q, k, (p,)).rows(0, np.arange(size))
+                  for p, size in zip(range(lead, k), sizes)]
+        masks = _zero_masks(field, np.concatenate(values), mat)
+        ends = np.cumsum(sizes[:-1])
+        self.blocks: list = [None] * lead
+        for p, part, counts in zip(range(lead, k), np.split(masks, ends, axis=1),
+                                   np.split(_popcounts(masks, n), ends)):
+            axes = (q,) * (k - 1 - p)
+            self.blocks.append((part.reshape(len(masks), *axes), counts.reshape(axes)))
+
+    def row(self, pivots: tuple[int, ...], i: int):
+        """Masks (ceil(n/64), n_i) and popcounts (n_i,) of row i of the
+        pattern's grid, in its odometer order; None if not stored."""
+        p = pivots[i]
+        if self.blocks[p] is None:
+            return None
+        masks, counts = self.blocks[p]
+        index = tuple(0 if c in pivots else slice(None) for c in range(p + 1, len(self.blocks)))
+        counts = counts[index]
+        return masks[(slice(None),) + index].reshape(len(masks), counts.size), counts.reshape(-1)
+
+
+def zero_column_counts(field: FieldSpec, grid: RrefGrid, mat: np.ndarray,
+                       floor: int = -1) -> tuple[int, int]:
     """The largest number of columns of matrix @ mat that vanish
     identically over the (r, k) matrices of grid, and the first C-order
-    grid index that reaches it.
+    grid index that reaches it, when that number is above floor; at or
+    below floor, some count of the grid and its index.
 
-    grid is an RrefGrid, or anything with its shape and rows.  Each row of
-    at most CHUNK_CAP values gets a table of packed zero masks, all such
-    rows in one product; a longer row is multiplied in slices as the walk
-    reads it.  The walk ANDs the head rows 0..r-2 for up to CHUNK_CAP grid
-    lines at a time, then ANDs runs of those lines with the last row's
-    table, at most CHUNK_CAP matrices per chunk, and popcounts them.
+    grid is an RrefGrid, or anything with its shape and rows.  Each row's
+    packed zero masks and popcounts come from the grid's RowTable, or else
+    from one product over every row of at most CHUNK_CAP values; a longer
+    row is multiplied in slices of CHUNK_CAP as the walk reads it.
+
+    The walk is a branch and bound over the rows in C order, seeded with
+    the count of the grid's first matrix.  The lines of rows 0..i-1 are
+    ANDed with row i's values, at most CHUNK_CAP pairs at a time, and
+    every partial AND whose popcount is at most max(floor, best so far)
+    is dropped with its whole subtree: ANDing more rows cannot raise a
+    popcount, and a tie found later in C order never beats the earlier
+    maximizer.  For the same reason a row's values at or below that bound
+    are dropped before the AND, and a pattern in which a row of at most
+    CHUNK_CAP values has none above it is not walked at all.  A head row
+    over the cap goes one line at a time, so the walk stays in C order;
+    the last row over the cap is read slice by slice for a whole batch of
+    lines, out of C order, so there the bound stays as it was at the
+    batch's start and ties go to the earlier index.
     """
     *sizes, r, _ = grid.shape
     if len(sizes) != r:
         raise ValueError(f"grid of shape {grid.shape} is not (n_0, ..., n_{{r-1}}, r, k)")
-    fit = [i for i in range(r) if sizes[i] <= CHUNK_CAP]
-    tables = dict.fromkeys(range(r))
-    if fit:
-        values = np.concatenate([grid.rows(i, np.arange(sizes[i])) for i in fit])
-        ends = np.cumsum([sizes[i] for i in fit[:-1]])
-        tables.update(zip(fit, np.split(_zero_masks(field, values, mat), ends, axis=1)))
+    walk = _Walk(field, grid, mat, floor)
+    rows = walk.rows
+    if all(row is None or row[1].max() > walk.bound() for row in rows):
+        if r > 1 and rows[0] is not None:  # row 0's values are the first lines
+            lines = np.flatnonzero(rows[0][1] > walk.bound())
+            walk.extend(1, lines, rows[0][0][:, lines])
+        else:
+            walk.extend(0, np.zeros(1, dtype=np.intp),
+                        np.full((-(-walk.n // 64), 1), ~np.uint64(0)))
+    return walk.best, walk.first
 
-    def head_masks(i, idx):
-        if tables[i] is not None:
-            return tables[i][:, idx]
-        # a head row over the cap is multiplied at the chunk's distinct indices
-        values, inverse = np.unique(idx, return_inverse=True)
-        return _zero_masks(field, grid.rows(i, values), mat)[:, inverse]
 
-    heads, last, n = sizes[:-1], sizes[-1], mat.shape[1]
-    count_type = np.min_scalar_type(n)  # the narrowest counts that hold n
-    best, first = -1, 0
-    for h0 in range(0, math.prod(heads), CHUNK_CAP):
-        lines = np.arange(h0, min(h0 + CHUNK_CAP, math.prod(heads)))
-        head = np.full((-(-n // 64), len(lines)), ~np.uint64(0))
-        for i, idx in enumerate(np.unravel_index(lines, heads) if heads else ()):
-            head &= head_masks(i, idx)
-        for l0 in range(0, last, CHUNK_CAP):
-            span = np.arange(l0, min(l0 + CHUNK_CAP, last))
-            tail = (_zero_masks(field, grid.rows(r - 1, span), mat) if last > CHUNK_CAP
-                    else tables[r - 1])
-            step = CHUNK_CAP // len(span)
-            for s in range(0, len(lines), step):
-                counts = np.bitwise_count(head[:, s:s + step, None] & tail[:, None])
-                counts = counts.sum(axis=0, dtype=count_type)
-                arg = int(np.argmax(counts))
-                top = int(counts.flat[arg])
-                index = int(lines[s + arg // len(span)]) * last + l0 + arg % len(span)
-                # the last row's slices come out of C order when it is over the cap
-                if top > best or top == best and index < first:
-                    best, first = top, index
-    return best, first
+class _Walk:
+    """One pattern's branch and bound: every row's masks and popcounts (or
+    None for a row over the cap), the floor, and the best count so far
+    with its first C-order index."""
+
+    def __init__(self, field: FieldSpec, grid, mat: np.ndarray, floor: int):
+        self.field, self.grid, self.mat, self.floor = field, grid, mat, floor
+        self.n = n = mat.shape[1]
+        *self.sizes, r, _ = grid.shape
+        table = getattr(grid, "table", None)
+        self.rows = rows = [None if table is None else table.row(grid.pivots, i)
+                            for i in range(r)]
+        fit = [i for i in range(r) if rows[i] is None and self.sizes[i] <= CHUNK_CAP]
+        if fit:
+            masks = _zero_masks(field, np.concatenate(
+                [grid.rows(i, np.arange(self.sizes[i])) for i in fit]), mat)
+            ends = np.cumsum([self.sizes[i] for i in fit[:-1]])
+            for i, part, counts in zip(fit, np.split(masks, ends, axis=1),
+                                       np.split(_popcounts(masks, n), ends)):
+                rows[i] = part, counts
+        seed = self.values(0, 0, 1)[0]
+        for i in range(1, r):
+            seed = seed & self.values(i, 0, 1)[0]
+        self.best, self.first = int(_popcounts(seed, n)[0]), 0
+
+    def bound(self) -> int:
+        return min(max(self.floor, self.best), self.n)  # n: the counts' type holds it
+
+    def values(self, i: int, lo: int, hi: int):
+        """Masks and popcounts of row i's values lo..hi-1."""
+        if self.rows[i] is not None:
+            masks, counts = self.rows[i]
+            return masks[:, lo:hi], counts[lo:hi]
+        masks = _zero_masks(self.field, self.grid.rows(i, np.arange(lo, hi)), self.mat)
+        return masks, _popcounts(masks, self.n)
+
+    def extend(self, i: int, lines: np.ndarray, head: np.ndarray) -> None:
+        """Extend lines, C-order indices over rows 0..i-1 whose masks AND
+        to head (words, len(lines)), by every value of row i."""
+        if i == len(self.sizes) - 1:
+            return self.finish(lines, head)
+        size = self.sizes[i]
+        # a row over the cap is read CHUNK_CAP values at a time, one line at a time
+        groups = ([(slice(0, len(lines)), 0, size)] if self.rows[i] is not None else
+                  [(slice(j, j + 1), lo, min(lo + CHUNK_CAP, size))
+                   for j in range(len(lines)) for lo in range(0, size, CHUNK_CAP)])
+        for part, lo, hi in groups:
+            masks, counts = self.values(i, lo, hi)
+            sub_lines, sub_head = lines[part], head[:, part]
+            bar = self.bound()
+            keep = np.flatnonzero(counts > bar)
+            s = 0
+            while keep.size and s < len(sub_lines):
+                step = max(1, CHUNK_CAP // keep.size)
+                nxt_lines, nxt_head = self.survivors(
+                    sub_lines[s:s + step], sub_head[:, s:s + step], size,
+                    lo + keep, masks[:, keep], bar)
+                if len(nxt_lines):
+                    self.extend(i + 1, nxt_lines, nxt_head)
+                s += step
+                if self.bound() != bar:
+                    bar = self.bound()
+                    keep = keep[counts[keep] > bar]
+
+    def survivors(self, lines, head, size, values, masks, bar):
+        """The pairs of a line and a value of a row of size values, whose
+        AND has popcount above bar, in C order: their indices and masks."""
+        both = head[:, :, None] & masks[:, None]
+        hit = np.flatnonzero(_popcounts(both, self.n) > bar)
+        line, value = np.divmod(hit, len(values))
+        return lines[line] * size + values[value], both.reshape(len(both), -1)[:, hit]
+
+    def finish(self, lines: np.ndarray, head: np.ndarray) -> None:
+        """Count every line with every value of the last row."""
+        size = self.sizes[-1]
+        span = size if self.rows[-1] is not None else CHUNK_CAP
+        bar = self.bound()  # held: slices of a row over the cap leave C order
+        for lo in range(0, size, span):
+            self.count(lines, head, lo, min(lo + span, size), bar)
+
+    def count(self, lines: np.ndarray, head: np.ndarray, lo: int, hi: int, bar: int) -> None:
+        """Count every line with the last row's values lo..hi-1 (a method
+        of its own, so that one slice's arrays are freed before the next
+        slice is multiplied)."""
+        size, n = self.sizes[-1], self.n
+        masks, counts = self.values(len(self.sizes) - 1, lo, hi)
+        if len(self.sizes) == 1:  # no head rows: a value's count is its matrix's
+            arg = int(np.argmax(counts))
+            return self.update(int(counts[arg]), lo + arg)
+        keep = np.flatnonzero(counts > bar)
+        if not keep.size:
+            return
+        masks = masks[:, keep]
+        step = max(1, CHUNK_CAP // keep.size)
+        for s in range(0, len(lines), step):
+            pair_counts = _popcounts(head[:, s:s + step, None] & masks[:, None], n)
+            arg = int(np.argmax(pair_counts))
+            line, value = divmod(arg, keep.size)
+            self.update(int(pair_counts.flat[arg]),
+                        int(lines[s + line]) * size + lo + int(keep[value]))
+
+    def update(self, top: int, index: int) -> None:
+        if top > self.best or top == self.best and index < self.first:
+            self.best, self.first = top, index
 
 
 def _zero_scan_chunk(args):
-    q, mat, k, combos = args
-    field = make_field(q)
+    """One chunk of pivot patterns, starting at pattern index start: each
+    prunes at the chunk's best so far, lowered to its bound if given."""
+    q, mat, table, start, combos, bounds = args
+    field, k = make_field(q), mat.shape[0]
     best_count, best_rref = -1, None
     enumerated = 0
-    maxima = []
-    for pivots in combos:
-        grid = RrefGrid(q, k, pivots)
-        top, index = zero_column_counts(field, grid, mat)
+    violations = []
+    for j, pivots in enumerate(combos):
+        grid = RrefGrid(q, k, pivots, table)
+        floor = best_count if bounds is None else min(best_count, bounds[j])
+        top, index = zero_column_counts(field, grid, mat, floor)
         enumerated += math.prod(grid.shape[:-2])
         if top > best_count:
             best_count = top
             best_rref = grid[np.unravel_index(index, grid.shape[:-2])]
-        maxima.append(top)
-    return best_count, best_rref, enumerated, maxima
+        if bounds is not None and top > bounds[j]:
+            violations.append((start + j, top))
+    return best_count, best_rref, enumerated, violations
 
 
-def scan_max_zero_columns(q: int, mat: np.ndarray, r: int, workers: int = 1):
+def scan_max_zero_columns(q: int, mat: np.ndarray, r: int, workers: int = 1, bounds=None):
     """Maximize the zero-column count of B @ mat over every r-dimensional
     row space B of F_q^k, k = mat rows.
 
-    Returns (count, rref witness, subspaces enumerated, maxima), where
-    maxima[i] is the largest count in pattern i of pivot_patterns(k, r).
-    The witness is the earliest maximizer in the canonical order: each
-    chunk of patterns keeps its own earliest one, and the chunks, which
-    split_chunks cuts contiguously and run_chunks returns in order, are
+    Returns (count, rref witness, subspaces enumerated, violations).
+    bounds, if given, holds one bound per pattern of pivot_patterns(k, r),
+    and violations lists (i, maximum of pattern i) for every pattern i
+    whose maximum is above bounds[i], in pattern order; without bounds it
+    is empty.  The subspaces enumerated are every subspace, pruned or not.
+
+    The patterns are split into `workers` chunks of consecutive patterns.
+    Each chunk is a branch and bound: a pattern prunes at the best count
+    its chunk found at earlier patterns, or at its bound if that is lower,
+    so the count and each listed maximum stay exact.  The witness is the
+    earliest maximizer in the canonical order: each chunk keeps its own
+    earliest one, and the chunks, which run_chunks returns in order, are
     merged by keeping the first that reaches the best count.  So the
     result does not depend on the worker count.
 
-    The patterns are split into `workers` chunks either way, but a pool
-    is started only when the chunks other than the largest, whose work
-    is all a pool can take off one process, are priced above
-    POOL_MIN_WORK; otherwise the chunks run in-process, in order.
+    A pool is started only when the chunks other than the largest, whose
+    work is all a pool can take off one process, are priced above
+    POOL_MIN_WORK; otherwise the chunks run in-process, in order.  The
+    RowTable is built once, here, and each pool worker gets a copy.
     """
     k = mat.shape[0]
-    chunked = split_chunks(pivot_patterns(k, r), workers)
-    work = [sum(pattern_size(c, k, q) for c in chunk) * mat.shape[1] for chunk in chunked]
+    patterns = pivot_patterns(k, r)
+    chunked = split_chunks(list(range(len(patterns))), workers)
+    work = [sum(pattern_size(patterns[i], k, q) for i in chunk) * mat.shape[1]
+            for chunk in chunked]
     if sum(work) - max(work, default=0) <= POOL_MIN_WORK:
         workers = 1
+    table = RowTable(make_field(q), mat)
+    chunk_args = [(q, mat, table, chunk[0], [patterns[i] for i in chunk],
+                   None if bounds is None else [bounds[i] for i in chunk]) for chunk in chunked]
     best_count, best_rref = -1, None
     enumerated = 0
-    maxima = []
-    for count, rref, part, chunk_maxima in run_chunks(
-            _zero_scan_chunk, [(q, mat, k, chunk) for chunk in chunked], workers):
+    violations = []
+    for count, rref, part, found in run_chunks(_zero_scan_chunk, chunk_args, workers):
         enumerated += part
-        maxima += chunk_maxima
+        violations += found
         if count > best_count:
             best_count, best_rref = count, rref
-    return best_count, best_rref, enumerated, maxima
+    return best_count, best_rref, enumerated, violations

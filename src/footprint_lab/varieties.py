@@ -106,6 +106,9 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
     against the stable footprint size of its leading monomials; each
     pattern that exceeds it lands in .violations as (leading monomials,
     pattern maximum, bound), always empty if the footprint bound is sound.
+    The bounds only lower the scan's pruning floor, so value and witness
+    do not depend on them.  The budget prices the scan unpruned: every
+    subspace times every point.
     """
     basis = _projective_basis(mode, d, m, q)
     make_field(q)  # an unsupported q is refused before the scan is priced
@@ -118,16 +121,15 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
     if footprint_check and mode != "reduced":
         raise ValueError("footprint bound check requires reduced mode")
     mat = projective_eval_matrix(mode, d, m, q)
-    value, rref, enumerated, maxima = linalg.scan_max_zero_columns(q, mat, r, workers)
+    # footprint_sizes follows combinations order, the order of pivot_patterns
+    bounds = (monomials.footprint_sizes(basis, r, monomials.stable_degree(d, m, q), q, m)
+              if footprint_check else None)
+    value, rref, enumerated, found = linalg.scan_max_zero_columns(q, mat, r, workers, bounds)
     assert enumerated == total
-    violations = ()
-    if footprint_check:
-        # footprint_sizes follows combinations order, the order of pivot_patterns
-        bounds = monomials.footprint_sizes(basis, r, monomials.stable_degree(d, m, q), q, m)
-        violations = tuple(
-            (tuple(monomials.format_monomial(basis[p]) for p in pivots), top, limit)
-            for pivots, top, limit in zip(linalg.pivot_patterns(k, r), maxima, bounds)
-            if top > limit)
+    patterns = linalg.pivot_patterns(k, r) if found else ()
+    violations = tuple(
+        (tuple(monomials.format_monomial(basis[p]) for p in patterns[i]), top, bounds[i])
+        for i, top in found)
     witness = tuple(make_poly(m, d, {basis[t]: int(c) for t, c in enumerate(row) if c})
                     for row in rref)
     return SearchResult(value=value, witness=witness, enumerated=enumerated,

@@ -255,18 +255,107 @@ def test_scan_matches_naive_enumeration(monkeypatch, q, k, r, n, cap, workers):
         monkeypatch.setattr(linalg, "CHUNK_CAP", cap)
     rng = np.random.default_rng(q * 100 + k * 10 + r)
     mat = _sparse_matrix(rng, q, k, n)
-    count, witness, enumerated, maxima = linalg.scan_max_zero_columns(q, mat, r, workers)
     best, naive_witness, total, naive_maxima = _naive_scan(q, mat, r)
-    assert count == best
-    assert np.array_equal(witness, naive_witness)
-    assert enumerated == total
-    assert maxima == naive_maxima
+    # each odd pattern's bound is one below its maximum, each even one's equals it
+    bounds = [top - i % 2 for i, top in enumerate(naive_maxima)]
+    odd = [(i, top) for i, top in enumerate(naive_maxima) if i % 2]
+    for given, want in ((None, []), (bounds, odd)):
+        count, witness, enumerated, violations = linalg.scan_max_zero_columns(
+            q, mat, r, workers, given)
+        assert count == best
+        assert np.array_equal(witness, naive_witness)
+        assert enumerated == total
+        assert violations == want
     assert len(set(naive_maxima)) > 1  # the patterns' maxima differ
     if cap is not None:
         pivots = tuple(int(np.flatnonzero(row)[0]) for row in naive_witness)
         position = next(j for j, rref in enumerate(_naive_rrefs(q, k, pivots))
                         if np.array_equal(rref, naive_witness))
         assert position >= cap  # past the first chunk of its pattern
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_scan_matches_naive_on_random_instances(monkeypatch, seed, workers):
+    """Random sizes, densities and bounds; odd seeds lower CHUNK_CAP below
+    the row table's first blocks and below the longest rows."""
+    rng = np.random.default_rng(seed)
+    q, k = [(2, 6), (2, 7), (3, 5), (4, 4), (5, 4), (7, 3)][seed % 6]
+    r = int(rng.integers(1, k))
+    mat = rng.integers(0, q, size=(k, int(rng.integers(1, 140))), dtype=np.uint8)
+    mat[rng.random(mat.shape) < rng.uniform(0.3, 0.9)] = 0
+    if seed % 2:
+        monkeypatch.setattr(linalg, "CHUNK_CAP", int(rng.integers(2, q ** (k - r) + 1)))
+    best, naive_witness, total, naive_maxima = _naive_scan(q, mat, r)
+    exact = list(enumerate(naive_maxima))
+    bounds = [int(top + rng.integers(-2, 2)) for top in naive_maxima]
+    over = [(i, top) for i, top in exact if top > bounds[i]]
+    # bounds of -1 are below every maximum, so they list every pattern's
+    for given, want in ((None, []), ([-1] * len(exact), exact), (bounds, over)):
+        count, witness, enumerated, violations = linalg.scan_max_zero_columns(
+            q, mat, r, workers, given)
+        assert count == best
+        assert np.array_equal(witness, naive_witness)
+        assert enumerated == total
+        assert violations == want
+
+
+def test_kernel_is_exact_above_its_floor(monkeypatch):
+    """Above floor the kernel's (max, first index) is exact, with or
+    without the scan's row table; at or below it, it reports a count no
+    higher than floor."""
+    field = make_field(3)
+    rng = np.random.default_rng(11)
+    mat = _sparse_matrix(rng, 3, 6, 70)
+    grids = [_random_grid(rng, 3, 6, sizes) for sizes in ((40,), (9, 11), (5, 1, 7))]
+    patterns = ((0, 2), (1, 2, 4), (0, 1, 3))
+    grids += [linalg.RrefGrid(3, 6, pivots) for pivots in patterns]
+    wants = [_reference_max(field, grid, mat) for grid in grids]
+    for cap in (2**14, 30, 4, 1):
+        monkeypatch.setattr(linalg, "CHUNK_CAP", cap)
+        table = linalg.RowTable(field, mat)
+        tabled = [linalg.RrefGrid(3, 6, pivots, table) for pivots in patterns]
+        for grid, want in zip(grids + tabled, wants + wants[-3:]):
+            for floor in (-1, 0, want[0] - 1, want[0], want[0] + 1, 71):
+                got = linalg.zero_column_counts(field, grid, mat, floor)
+                assert got == want if want[0] > floor else got[0] <= floor, (grid.shape, cap)
+
+
+def test_row_table_stores_no_block_over_the_cap(monkeypatch):
+    """A block of more than CHUNK_CAP masks is not stored; an r = 1 scan
+    multiplies its over-cap pattern's single row CHUNK_CAP values at a
+    time and keeps none of it."""
+    q, k, cap = 3, 6, 80
+    monkeypatch.setattr(linalg, "CHUNK_CAP", cap)
+    field = make_field(q)
+    mat = _sparse_matrix(np.random.default_rng(5), q, k, 50)
+    table = linalg.RowTable(field, mat)
+    stored = [block[1].size for block in table.blocks if block is not None]
+    assert [block is None for block in table.blocks] == [True, True] + [False] * 4
+    assert stored == [27, 9, 3, 1] and max(stored) <= cap
+    built, products = [], []
+    zero_masks = linalg._zero_masks
+
+    def spy_masks(field, values, mat):
+        products.append(len(values))
+        return zero_masks(field, values, mat)
+
+    class SpyTable(linalg.RowTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+            products.clear()  # what the kernel multiplies from here on
+    monkeypatch.setattr(linalg, "_zero_masks", spy_masks)
+    monkeypatch.setattr(linalg, "RowTable", SpyTable)
+    count, witness, _, maxima = linalg.scan_max_zero_columns(q, mat, 1, 1, [-1] * k)
+    best, naive_witness, _, naive_maxima = _naive_scan(q, mat, 1)
+    assert count == best and np.array_equal(witness, naive_witness)
+    assert maxima == list(enumerate(naive_maxima))
+    assert len(built) == 1 and built[0].blocks[:2] == [None, None]
+    # patterns (0,) and (1,), rows of 243 and 81 values, in slices of at
+    # most cap, plus the first value of each for its pattern's seed
+    assert products and max(products) <= cap
+    assert sum(products) == 243 + 81 + 2
 
 
 def _reference_row_reduce(field, mat):

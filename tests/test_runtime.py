@@ -72,7 +72,8 @@ def test_spawn_when_fork_is_unavailable(monkeypatch):
 
 def _scan_instance():
     """q, evaluation matrix and r of a scan whose two pivot-pattern chunks
-    both hold work, and the priced work of the smaller chunk."""
+    both hold work, the priced work of the smaller chunk, and bounds of -1
+    for every pattern, at which the scan lists each pattern's maximum."""
     q, r = 3, 2
     mat = codes.build_prm(2, 2, q).generator
     k, n = mat.shape
@@ -80,29 +81,30 @@ def _scan_instance():
     work = [sum(linalg.pattern_size(patterns[i], k, q) for i in ids) * n
             for ids in runtime.split_chunks(list(range(len(patterns))), 2)]
     assert len(work) == 2 and min(work) > 0
-    return q, mat, r, min(work)
+    return q, mat, r, min(work), [-1] * len(patterns)
 
 
 def test_small_scan_requests_no_pool(monkeypatch):
-    q, mat, r, spare = _scan_instance()
-    want = linalg.scan_max_zero_columns(q, mat, r, 1)
+    q, mat, r, spare, bounds = _scan_instance()
+    want = linalg.scan_max_zero_columns(q, mat, r, 1, bounds)
     assert spare <= linalg.POOL_MIN_WORK
     ctx = _patch(monkeypatch, 2)
-    linalg.scan_max_zero_columns(q, mat, r, 2)
+    linalg.scan_max_zero_columns(q, mat, r, 2, bounds)
     assert ctx.requests == []
     # the pool starts once the smaller chunk's work exceeds the constant
     monkeypatch.setattr(linalg, "POOL_MIN_WORK", spare)
-    linalg.scan_max_zero_columns(q, mat, r, 2)
+    linalg.scan_max_zero_columns(q, mat, r, 2, bounds)
     assert ctx.requests == []
     monkeypatch.setattr(linalg, "POOL_MIN_WORK", spare - 1)
-    got = linalg.scan_max_zero_columns(q, mat, r, 2)
+    got = linalg.scan_max_zero_columns(q, mat, r, 2, bounds)
     assert ctx.requests == [2]
     assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2:] == want[2:]
+    assert [i for i, _ in want[3]] == list(range(len(bounds)))
 
 
 def test_real_pool_matches_one_worker(monkeypatch):
-    q, mat, r, _ = _scan_instance()
-    want = linalg.scan_max_zero_columns(q, mat, r, 1)
+    q, mat, r, _, bounds = _scan_instance()
+    want = linalg.scan_max_zero_columns(q, mat, r, 1, bounds)
     requested = []
 
     def spy(fn, chunk_args, workers):
@@ -111,10 +113,10 @@ def test_real_pool_matches_one_worker(monkeypatch):
     monkeypatch.setattr(linalg, "POOL_MIN_WORK", 0)
     monkeypatch.setattr(linalg, "run_chunks", spy)
     monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
-    count, witness, enumerated, maxima = linalg.scan_max_zero_columns(q, mat, r, 2)
+    count, witness, enumerated, maxima = linalg.scan_max_zero_columns(q, mat, r, 2, bounds)
     assert requested == [2]
     assert count == want[0] and np.array_equal(witness, want[1])
     assert (enumerated, maxima) == want[2:]
     # both chunks reach the maximum, so the merge has to keep the first
-    first, second = runtime.split_chunks(maxima, 2)
+    first, second = runtime.split_chunks([top for _, top in maxima], 2)
     assert max(first) == max(second) == count

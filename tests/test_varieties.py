@@ -65,6 +65,17 @@ def test_brute_force_witness_recounts():
     assert va.brute_force_max_points(1, 2, 2, 3).enumerated == 364
 
 
+@pytest.mark.parametrize("r, value", [(3, 7), (8, 2)])
+def test_branch_and_bound_decides_large_scans(r, value):
+    """d = q on the plane over F_3: 1.8e10 subspaces at r = 3, decided in
+    well under a second because the scan prunes; each value equals the
+    d = q lower bound, and the witness's own zeros recount it."""
+    res = va.brute_force_max_points(r, 3, 2, 3, budget=10**12)
+    assert res.enumerated == fo.gaussian_binomial(10, r, 3)
+    assert res.value == value
+    assert va.count_common_zeros(res.witness, 2, 3) == value
+
+
 def test_brute_force_argument_checks():
     with pytest.raises(IndexOutOfRange):
         va.brute_force_max_points(0, 2, 2, 3)
