@@ -7,7 +7,8 @@ matching closed form, `verify` runs the named check suites.
 Exit codes: 0 success (and all checks passed), 1 a verification failed or
 an exhaustive value contradicts a settled formula, 2 invalid input, a
 refused budget or an unwritable --output.  JSON reports are deterministic
-except for `elapsed`; the worker count never changes the payload.
+except for `elapsed` and verify's `stats` (seconds per suite); the worker
+count never changes the payload.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--q", type=_field_size, required=True)
     sea.add_argument("--d", type=_nonnegative_int, required=True)
     sea.add_argument("--m", type=_nonnegative_int, required=True)
-    sea.add_argument("--r", type=int, required=True)
+    sea.add_argument("--r", type=_positive_int, required=True)
     sea.add_argument("--e", type=_nonnegative_int, default=None,
                      help="footprint degree (footprint only; default: stable degree)")
     sea.add_argument("--mode", choices=("reduced", "all"), default=None,
@@ -195,12 +196,14 @@ def _cmd_verify(args) -> tuple[dict, int]:
     cfg = VerifyConfig(qs=args.q, m_max=args.m_max, d_max=args.d_max,
                        level=args.l, quick=args.quick,
                        budget=args.budget, workers=args.workers)
+    reports = run_suites(args.suite, cfg)
     suites = [{"suite": rep.suite, "passed": rep.passed, "cases": rep.cases,
                "checks": [dataclasses.asdict(c) for c in rep.checks]}
-              for rep in run_suites(args.suite, cfg)]
+              for rep in reports]
     passed = all(s["passed"] for s in suites)
     report = {"schema": 1, "command": "verify", "passed": passed, "suites": suites,
-              "elapsed": round(time.perf_counter() - start, 6)}
+              "elapsed": round(time.perf_counter() - start, 6),
+              "stats": {"suite_s": {rep.suite: round(rep.seconds, 6) for rep in reports}}}
     return report, 0 if passed else 1
 
 

@@ -8,18 +8,21 @@ fastest), which fixes the canonical order of the subspaces.
 Within one pivot pattern the rows of an RREF matrix vary independently,
 so an RrefGrid stands for the pattern as a grid with one axis per row and
 makes any row's values on demand.  A row's zero columns depend only on
-the row, so a RowTable, built once per scan, holds the packed uint64 zero
-masks and popcounts of every vector with a leading 1, one block per
-leading position of at most CHUNK_CAP vectors; a row of a pattern is a
-slice of its pivot's block.  Rows from larger blocks are multiplied once
-per pattern, or in slices when over the cap.
+the row and the evaluation matrix, so a RowTable, built once per matrix
+(a caller may keep it for every scan of that matrix), holds the packed
+uint64 zero masks and popcounts of every vector with a leading 1, one
+block per leading position of at most CHUNK_CAP vectors, and each stored
+block's largest popcount; a row of a pattern is a slice of its pivot's
+block.  Rows from larger blocks are multiplied once per pattern, or in
+slices when over the cap.
 
 The scan kernel, zero_column_counts, is a branch and bound over one
 pattern's rows that keeps the maximum and the index of its first
 maximizer, from which the witness is rebuilt, exact.  Each chunk of
 patterns passes its best count so far to the next pattern as the floor
-to prune at, lowered to the pattern's bound when bounds are given, and
-every subspace still counts as enumerated.
+to prune at, lowered to the pattern's bound when bounds are given; a
+pattern one of whose pivots' blocks peaks at or below the floor is
+skipped whole, and every subspace still counts as enumerated.
 
 Every product over F_q, q = p^e, is one float64 BLAS product over F_p
 (matmul): the right factor's entries become their e x e multiplication
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,32 +102,37 @@ def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (n,))
 
 
+@lru_cache(maxsize=None)
+def _axpy_table(field: FieldSpec) -> np.ndarray:
+    """a - f*x for every a, f, x in F_q, flat at index (a*q + f)*q + x."""
+    return field.add_table[:, field.mul_table[field.neg_table]].ravel()
+
+
 def row_reduce(field: FieldSpec, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and its pivot columns."""
+    """Row echelon form, each pivot entry 1 and every entry below a pivot
+    0, and its pivot columns."""
     q, mul, inv = field.q, field.mul_table, field.inv_table
-    add = field.add_table.ravel()
-    minus = mul[field.neg_table]  # minus[x, y] = -x * y
-    m = np.array(mat, dtype=np.uint16)  # so m * q + x, a flat add-table index below q*q, cannot wrap
+    axpy = _axpy_table(field)
+    m = np.array(mat, dtype=np.intp)  # holds the flat axpy index, below q**3
     rows, cols = m.shape
     pivots: list[int] = []
     pr = 0
     for c in range(cols):
         if pr == rows:
             break
-        nz = np.nonzero(m[pr:, c])[0]
-        if nz.size == 0:
+        col = m[pr:, c]
+        i = int(col.argmax())  # a nonzero entry unless the column is 0 here
+        if not col[i]:
             continue
-        swap = pr + int(nz[0])
-        if swap != pr:
-            m[[pr, swap]] = m[[swap, pr]]
+        if i:
+            m[[pr, pr + i]] = m[[pr + i, pr]]
         # the pivot row is zero left of c, so columns c: are all that change
         row = mul[inv[m[pr, c]], m[pr, c:]]
         m[pr, c:] = row
-        # clear column c from every other row at once: row rr gains
-        # -m[rr, c] times the pivot row, one gather from its multiples
-        factor = m[:, c].copy()
-        factor[pr] = 0
-        m[:, c:] = add[m[:, c:] * q + minus[:, row][factor]]
+        # every row below gains -f times the pivot row, f its entry in column
+        # c, in one gather; row[0] == 1, so column c becomes 0
+        below = m[pr + 1:, c:]
+        below[...] = axpy[(below * q + below[:, :1]) * q + row]
         pivots.append(c)
         pr += 1
     return m.astype(np.uint8), pivots
@@ -164,7 +173,9 @@ def _free_columns(pivots: tuple[int, ...], k: int) -> list[list[int]]:
 
 
 def pattern_size(pivots: tuple[int, ...], k: int, q: int) -> int:
-    return q ** sum(map(len, _free_columns(pivots, k)))
+    # row i has k-1-p_i columns right of its pivot, r-1-i of them pivots
+    r = len(pivots)
+    return q ** (r * (2 * k - 1 - r) // 2 - sum(pivots))
 
 
 class RrefGrid:
@@ -225,8 +236,10 @@ class RowTable:
     Block p holds the packed masks (ceil(n/64), q, ..., q) and popcounts
     (q, ..., q) of the q**(k-1-p) vectors with entries at columns
     p+1..k-1, one axis per column, or None when that is more than
-    CHUNK_CAP vectors.  Row i of an RREF pattern takes 0 at the later
-    pivots, so its masks are block p_i read at index 0 on those axes."""
+    CHUNK_CAP vectors; peaks[p] is block p's largest popcount, or None.
+    Row i of an RREF pattern takes 0 at the later pivots, so its masks are
+    block p_i read at index 0 on those axes, and no matrix of the pattern
+    has more zero columns than peaks[p_i]."""
 
     def __init__(self, field: FieldSpec, mat: np.ndarray):
         q, (k, n) = field.q, mat.shape
@@ -241,6 +254,7 @@ class RowTable:
                                    np.split(_popcounts(masks, n), ends)):
             axes = (q,) * (k - 1 - p)
             self.blocks.append((part.reshape(len(masks), *axes), counts.reshape(axes)))
+        self.peaks = [None if block is None else int(block[1].max()) for block in self.blocks]
 
     def row(self, pivots: tuple[int, ...], i: int):
         """Masks (ceil(n/64), n_i) and popcounts (n_i,) of row i of the
@@ -403,17 +417,20 @@ class _Walk:
 
 def _zero_scan_chunk(args):
     """One chunk of pivot patterns, starting at pattern index start: each
-    prunes at the chunk's best so far, lowered to its bound if given."""
+    prunes at the chunk's best so far, lowered to its bound if given, and
+    is skipped when a pivot's block in the table peaks at or below that."""
     q, mat, table, start, combos, bounds = args
     field, k = make_field(q), mat.shape[0]
     best_count, best_rref = -1, None
     enumerated = 0
     violations = []
     for j, pivots in enumerate(combos):
-        grid = RrefGrid(q, k, pivots, table)
         floor = best_count if bounds is None else min(best_count, bounds[j])
+        enumerated += pattern_size(pivots, k, q)
+        if any(table.peaks[p] is not None and table.peaks[p] <= floor for p in pivots):
+            continue
+        grid = RrefGrid(q, k, pivots, table)
         top, index = zero_column_counts(field, grid, mat, floor)
-        enumerated += math.prod(grid.shape[:-2])
         if top > best_count:
             best_count = top
             best_rref = grid[np.unravel_index(index, grid.shape[:-2])]
@@ -422,7 +439,8 @@ def _zero_scan_chunk(args):
     return best_count, best_rref, enumerated, violations
 
 
-def scan_max_zero_columns(q: int, mat: np.ndarray, r: int, workers: int = 1, bounds=None):
+def scan_max_zero_columns(q: int, mat: np.ndarray, r: int, workers: int = 1, bounds=None,
+                          table: RowTable | None = None):
     """Maximize the zero-column count of B @ mat over every r-dimensional
     row space B of F_q^k, k = mat rows.
 
@@ -441,19 +459,22 @@ def scan_max_zero_columns(q: int, mat: np.ndarray, r: int, workers: int = 1, bou
     merged by keeping the first that reaches the best count.  So the
     result does not depend on the worker count.
 
-    A pool is started only when the chunks other than the largest, whose
-    work is all a pool can take off one process, are priced above
-    POOL_MIN_WORK; otherwise the chunks run in-process, in order.  The
-    RowTable is built once, here, and each pool worker gets a copy.
+    With several chunks, a pool is started only when the chunks other
+    than the largest, whose work is all a pool can take off one process,
+    are priced above POOL_MIN_WORK; otherwise the chunks run in-process, in
+    order.  table is mat's RowTable, built here when None; each pool
+    worker gets a copy.
     """
     k = mat.shape[0]
     patterns = pivot_patterns(k, r)
     chunked = split_chunks(list(range(len(patterns))), workers)
-    work = [sum(pattern_size(patterns[i], k, q) for i in chunk) * mat.shape[1]
-            for chunk in chunked]
-    if sum(work) - max(work, default=0) <= POOL_MIN_WORK:
-        workers = 1
-    table = RowTable(make_field(q), mat)
+    if len(chunked) > 1:
+        work = [sum(pattern_size(patterns[i], k, q) for i in chunk) * mat.shape[1]
+                for chunk in chunked]
+        if sum(work) - max(work) <= POOL_MIN_WORK:
+            workers = 1
+    if table is None:
+        table = RowTable(make_field(q), mat)
     chunk_args = [(q, mat, table, chunk[0], [patterns[i] for i in chunk],
                    None if bounds is None else [bounds[i] for i in chunk]) for chunk in chunked]
     best_count, best_rref = -1, None

@@ -59,31 +59,40 @@ def projective_eval_matrix(mode: str, d: int, m: int, q: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=16)
+def projective_row_table(mode: str, d: int, m: int, q: int) -> linalg.RowTable:
+    """The RowTable of projective_eval_matrix(mode, d, m, q), built once per
+    matrix for every rank's scan; the cache is bounded because a table can
+    hold up to about 2 * CHUNK_CAP masks of n bits."""
+    return linalg.RowTable(make_field(q), projective_eval_matrix(mode, d, m, q))
+
+
 def count_common_zeros(polys, m: int, q: int) -> int:
-    """Number of projective points where every polynomial vanishes."""
+    """Number of projective points where every polynomial vanishes: the
+    forms of each degree present, as coefficient rows over all_monomials,
+    times projective_eval_matrix("all", ...), zero columns ANDed."""
     field = make_field(q)
     polys = list(polys)
     for f in polys:
         if f.m != m:
             raise AmbientMismatch(f"polynomial in ambient x0..x{f.m}, expected x0..x{m}")
-    pts = projective_points(m, q)
-    if not polys:
-        return len(pts)
-    coeff, mons = _coefficient_matrix(polys)
-    values = linalg.matmul(field, coeff, linalg.eval_matrix(field, mons, pts))
-    return int((values == 0).all(axis=0).sum())
+    zero = np.ones(len(projective_points(m, q)), dtype=bool)
+    for deg in sorted({f.deg for f in polys}):
+        coeff = _coefficient_matrix([f for f in polys if f.deg == deg], m, deg)
+        values = linalg.matmul(field, coeff, projective_eval_matrix("all", deg, m, q))
+        zero &= (values == 0).all(axis=0)
+    return int(zero.sum())
 
 
-def _coefficient_matrix(polys) -> tuple[np.ndarray, list]:
-    """Coefficients of polys (rows) on their joint monomial support
-    (columns, descending), and that support."""
-    mons = sorted({mon for f in polys for mon, _ in f.terms}, reverse=True)
-    coeff = np.zeros((len(polys), len(mons)), dtype=np.uint8)
-    where = {mon: t for t, mon in enumerate(mons)}
+def _coefficient_matrix(polys, m: int, deg: int) -> np.ndarray:
+    """Coefficients of the degree-deg forms polys (rows) over
+    all_monomials(m, deg) (columns)."""
+    where = {mon: t for t, mon in enumerate(monomials.all_monomials(m, deg))}
+    coeff = np.zeros((len(polys), len(where)), dtype=np.uint8)
     for i, f in enumerate(polys):
         for mon, c in f.terms:
             coeff[i, where[mon]] = c
-    return coeff, mons
+    return coeff
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,8 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
     # footprint_sizes follows combinations order, the order of pivot_patterns
     bounds = (monomials.footprint_sizes(basis, r, monomials.stable_degree(d, m, q), q, m)
               if footprint_check else None)
-    value, rref, enumerated, found = linalg.scan_max_zero_columns(q, mat, r, workers, bounds)
+    value, rref, enumerated, found = linalg.scan_max_zero_columns(
+        q, mat, r, workers, bounds, projective_row_table(mode, d, m, q))
     assert enumerated == total
     patterns = linalg.pivot_patterns(k, r) if found else ()
     violations = tuple(
@@ -232,7 +242,7 @@ def construct_witness(r: int, d: int, m: int, q: int) -> WitnessResult:
                     g = _mul_linear(field, g, t, s)
             coeffs = {mon + (d - sum(mon),) + (0,) * (m - nv): c for mon, c in g.items()}
             polys.append(make_poly(m, d, coeffs))
-    if linalg.rank(field, _coefficient_matrix(polys)[0]) != len(polys):
+    if linalg.rank(field, _coefficient_matrix(polys, m, d)) != len(polys):
         raise WitnessInvalid(
             f"the rank-{r} family of degree-{d} forms on P^{m}(F_{q}) is linearly dependent")
     return WitnessResult(value=count_common_zeros(polys, m, q), predicted=predicted,

@@ -10,6 +10,7 @@ a caller supplies its own grid.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 
 from . import codes, formulas, linalg, monomials, runtime, varieties
@@ -28,17 +29,20 @@ class Check:
     note: str | None = None
 
     def case(self, ok: bool, counterexample=None, cases: int = 1) -> None:
-        """Count cases; the first failing case's counterexample is kept."""
+        """Count cases; the first failing case's counterexample is kept.
+        counterexample is a zero-argument callable that builds it, called
+        only for that case, so passing cases format nothing."""
         self.cases += cases
         if not ok and self.passed:
             self.passed = False
-            self.counterexample = counterexample
+            self.counterexample = None if counterexample is None else counterexample()
 
 
 @dataclass
 class SuiteReport:
     suite: str
     checks: list[Check] = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the run, set by run_suites
 
     @property
     def passed(self) -> bool:
@@ -114,8 +118,9 @@ def suite_reduction(cfg: VerifyConfig) -> SuiteReport:
                 same = (linalg.eval_matrix(field_q, mons, cube)
                         == linalg.eval_matrix(field_q, reds, cube)).all(axis=1)
                 for mon, red, row_same in zip(mons, reds, same):
-                    bad = {"q": q, "monomial": format_monomial(mon),
-                           "reduced": format_monomial(red)}
+                    def bad():
+                        return {"q": q, "monomial": format_monomial(mon),
+                                "reduced": format_monomial(red)}
                     ok = (sum(red) == d
                           and monomials.is_reduced(red, q)
                           and monomials.reduce_monomial(red, q) == red)
@@ -163,14 +168,14 @@ def suite_footprint_decomposition(cfg: VerifyConfig) -> SuiteReport:
             slices = [monomials.footprint(sset, e, q, m, lv) for lv in range(m + 1)]
             flat = [mu for sl in slices for mu in sl]
             part.case(sorted(flat) == sorted(whole) and len(flat) == len(whole),
-                      {"q": q, "d": d, "e": e, "set": _names(sset)})
+                      lambda: {"q": q, "d": d, "e": e, "set": _names(sset)})
             for lv in range(m + 1):
                 restr = monomials.restrict_level(sset, lv, q)
                 sliced.case(monomials.footprint(restr, e, q, m, lv) == slices[lv],
-                            {"q": q, "d": d, "e": e, "level": lv, "set": _names(sset)})
+                            lambda: {"q": q, "d": d, "e": e, "level": lv, "set": _names(sset)})
             sizes.append(len(whole))
         stab.case(len(set(sizes)) == 1,
-                  {"q": q, "d": d, "set": _names(sset), "sizes": sizes})
+                  lambda: {"q": q, "d": d, "set": _names(sset), "sizes": sizes})
     return rep
 
 
@@ -194,8 +199,9 @@ def suite_specialization(cfg: VerifyConfig) -> SuiteReport:
                     smu = mu[:lv]
                     for nu in tops:
                         div.case(monomials.divides(mu, nu) == monomials.divides(smu, nu[:lv]),
-                                 {"q": q, "d": d, "e": e, "level": lv,
-                                  "mu": format_monomial(mu), "nu": format_monomial(nu)})
+                                 lambda: {"q": q, "d": d, "e": e, "level": lv,
+                                          "mu": format_monomial(mu),
+                                          "nu": format_monomial(nu)})
 
     m = m_max
     d = min(2, d_max)
@@ -210,15 +216,15 @@ def suite_specialization(cfg: VerifyConfig) -> SuiteReport:
             restr = monomials.restrict_level(sset, lv, q)
             lhs = len(monomials.footprint(restr, e, q, m, lv))
             rhs = len(monomials.hypercube_footprint(monomials.specialize(restr, lv), lv, q))
-            fp.case(lhs == rhs, {"q": q, "d": d, "e": e, "level": lv,
-                                 "set": _names(sset), "slice": lhs, "affine": rhs})
+            fp.case(lhs == rhs, lambda: {"q": q, "d": d, "e": e, "level": lv,
+                                         "set": _names(sset), "slice": lhs, "affine": rhs})
 
     for q in (3, 4):
         for m in range(1, 3):
             for d in range(1, q):
                 image = [mu[:m] for mu in monomials.reduced_monomials(m, q, d)]
                 target = [list(t) for t in monomials.hypercube_slice(m, q, d, "at_most")]
-                bij.case([list(t) for t in image] == target, {"q": q, "m": m, "d": d})
+                bij.case([list(t) for t in image] == target, lambda: {"q": q, "m": m, "d": d})
     return rep
 
 
@@ -245,16 +251,18 @@ def suite_expander(cfg: VerifyConfig) -> SuiteReport:
         inj.case(len(image) == len(sset)
                  and all(monomials.is_reduced(mu, q) for mu in image)
                  and sorted(map(sum, image)) == sorted(map(sum, sset)),
-                 {"set": _names(sset), "image": _names(image)})
+                 lambda: {"set": _names(sset), "image": _names(image)})
         for e in stable:
             before = monomials.footprint(sset, e, q, m)
             after = monomials.footprint(image, e, q, m)
-            grow.case(len(before) <= len(after), {"e": e, "set": _names(sset),
-                                                  "before": len(before), "after": len(after)})
+            grow.case(len(before) <= len(after),
+                      lambda: {"e": e, "set": _names(sset),
+                               "before": len(before), "after": len(after)})
             top.case(set(monomials.footprint(sset, e, q, m, m)) <= set(
-                monomials.footprint(image, e, q, m, m)), {"e": e, "set": _names(sset)})
+                monomials.footprint(image, e, q, m, m)), lambda: {"e": e, "set": _names(sset)})
             nxt.case(set(monomials.footprint(image, e, q, m, m - 1)) <= set(
-                monomials.footprint(sset, e, q, m, m - 1)), {"e": e, "set": _names(sset)})
+                monomials.footprint(sset, e, q, m, m - 1)),
+                lambda: {"e": e, "set": _names(sset)})
         for e in range(d, stable[0]):
             low.case(True)
             drops += len(monomials.footprint(sset, e, q, m)) > len(
@@ -289,7 +297,7 @@ def suite_clements_lindstrom(cfg: VerifyConfig) -> SuiteReport:
         contained = prefix is not None and set(sh_seg) <= set(prefix)
         fp_ok = (len(monomials.hypercube_footprint(tset, lv, q, d + 1))
                  <= len(monomials.hypercube_footprint(seg, lv, q, d + 1)))
-        step.case(contained and fp_ok, {"q": q, "d": d, "set": _names(tset)})
+        step.case(contained and fp_ok, lambda: {"q": q, "d": d, "set": _names(tset)})
         for e in range(d, top + 1):
             sh_seg_e = monomials.hypercube_shadow(seg, lv, q, e)
             sh_t_e = monomials.hypercube_shadow(tset, lv, q, e)
@@ -302,7 +310,7 @@ def suite_clements_lindstrom(cfg: VerifyConfig) -> SuiteReport:
                   <= len(monomials.hypercube_footprint(seg, lv, q, e))
                   and len(monomials.hypercube_footprint(tset, lv, q))
                   <= len(monomials.hypercube_footprint(seg, lv, q)))
-            iterated.case(ok, {"q": q, "d": d, "e": e, "set": _names(tset)})
+            iterated.case(ok, lambda: {"q": q, "d": d, "e": e, "set": _names(tset)})
     return rep
 
 
@@ -321,7 +329,7 @@ def suite_wei(cfg: VerifyConfig) -> SuiteReport:
         seg = monomials.hypercube_lex_segment(lv, q, d, len(tset), "at_most")
         wei.case(len(monomials.hypercube_footprint(tset, lv, q))
                  <= len(monomials.hypercube_footprint(seg, lv, q)),
-                 {"q": q, "d": d, "set": _names(tset)})
+                 lambda: {"q": q, "d": d, "set": _names(tset)})
     for (q, d), pool, _ in walks:
         for rho in range(1, len(pool) + 1):
             seg = monomials.hypercube_lex_segment(lv, q, d, rho, "at_most")
@@ -332,7 +340,7 @@ def suite_wei(cfg: VerifyConfig) -> SuiteReport:
             ok = (sorted(sh) == sorted(upset)
                   and len(sh) == q**lv - below
                   and sorted(set(sh) & set(pool)) == sorted(seg))
-            shadow.case(ok, {"q": q, "d": d, "rho": rho})
+            shadow.case(ok, lambda: {"q": q, "d": d, "rho": rho})
         if d >= 1:
             down = monomials.hypercube_slice(lv, q, d - 1, "at_most")
             for rho in range(len(down) + 1):
@@ -340,7 +348,7 @@ def suite_wei(cfg: VerifyConfig) -> SuiteReport:
                 sh = monomials.hypercube_shadow(seg, lv, q, d)
                 want = monomials.hypercube_lex_segment(lv, q, d, len(sh), "exact")
                 comp.case(sorted(sh) == sorted(want) and (rho == 0 or bool(sh)),
-                          {"q": q, "d": d, "rho": rho})
+                          lambda: {"q": q, "d": d, "rho": rho})
     return rep
 
 
@@ -359,7 +367,7 @@ def suite_affinecomb(cfg: VerifyConfig) -> SuiteReport:
         ok = (len(u) == len(tset)
               and len(monomials.hypercube_footprint(tset, lv, q))
               <= len(monomials.hypercube_footprint(u, lv, q)))
-        check.case(ok, {"q": q, "d": d, "set": _names(tset)})
+        check.case(ok, lambda: {"q": q, "d": d, "set": _names(tset)})
     return rep
 
 
@@ -378,11 +386,11 @@ def suite_macaulay(cfg: VerifyConfig) -> SuiteReport:
                 for r in range(top + 1):
                     h_form.case(formulas.affine_max_points(r, d, m, q)
                                 == formulas.affine_max_points_macaulay(r, d, m, q),
-                                {"q": q, "m": m, "d": d, "r": r})
+                                lambda: {"q": q, "m": m, "d": d, "r": r})
                 for r in range(1, top + 1):
                     e_form.case(formulas.conjectured_max_points(r, d, m, q)[0]
                                 == formulas.conjectured_max_points_macaulay(r, d, m, q),
-                                {"q": q, "m": m, "d": d, "r": r})
+                                lambda: {"q": q, "m": m, "d": d, "r": r})
 
     for d in range(1, 7):
         for n in range(formulas.binom(4 + d, d) + 1):
@@ -392,7 +400,7 @@ def suite_macaulay(cfg: VerifyConfig) -> SuiteReport:
                   and all(a >= b for a, b in zip(parts, parts[1:]))
                   and all(a > b for a, b in zip(svals, svals[1:]))
                   and formulas.macaulay_value(parts) == n)
-            staircase.case(ok, {"n": n, "d": d, "tuple": list(parts)})
+            staircase.case(ok, lambda: {"n": n, "d": d, "tuple": list(parts)})
     return rep
 
 
@@ -416,8 +424,9 @@ def suite_sandwich(cfg: VerifyConfig) -> SuiteReport:
                 r, d, m, q, budget=cfg.budget, workers=cfg.workers, footprint_check=True)
             viol_total += len(res.violations)
             viol.case(not res.violations,
-                      {"q": q, "d": d, "m": m, "r": r, "violation": list(res.violations[0])}
-                      if res.violations else None, cases=res.enumerated)
+                      lambda: {"q": q, "d": d, "m": m, "r": r,
+                               "violation": list(res.violations[0])},
+                      cases=res.enumerated)
             conj, status = formulas.conjectured_max_points(r, d, m, q)
             ceiling = formulas.projective_upper_bound(r, d, m, q)
             known = formulas.known_max_points(r, d, m, q)
@@ -426,9 +435,10 @@ def suite_sandwich(cfg: VerifyConfig) -> SuiteReport:
                   and recount == res.value
                   and (status != "proven" or res.value == conj)
                   and (known is None or res.value == known))
-            sand.case(ok, {"q": q, "d": d, "m": m, "r": r, "value": res.value,
-                           "predicted": conj, "ceiling": ceiling, "known": known})
-            order.case(prev is None or res.value < prev, {"q": q, "d": d, "m": m, "r": r})
+            sand.case(ok, lambda: {"q": q, "d": d, "m": m, "r": r, "value": res.value,
+                                   "predicted": conj, "ceiling": ceiling, "known": known})
+            order.case(prev is None or res.value < prev,
+                       lambda: {"q": q, "d": d, "m": m, "r": r})
             prev = res.value
     viol.note = f"{viol_total} violations in {viol.cases} subspaces"
 
@@ -440,13 +450,13 @@ def suite_sandwich(cfg: VerifyConfig) -> SuiteReport:
                                                 budget=cfg.budget, workers=cfg.workers)
         red = varieties.brute_force_max_points(r, d, m, q, mode="reduced",
                                                budget=cfg.budget, workers=cfg.workers)
-        eq.case(full.value == red.value, {"q": q, "d": d, "m": m, "r": r,
-                                          "full": full.value, "reduced": red.value})
+        eq.case(full.value == red.value, lambda: {"q": q, "d": d, "m": m, "r": r,
+                                                  "full": full.value, "reduced": red.value})
     for r in range(1, gdim + 1):
         full = varieties.brute_force_max_points(r, d, m, q, mode="all",
                                                 budget=cfg.budget, workers=cfg.workers)
         eq.case(full.value == formulas.projective_count(m, q),
-                {"q": q, "d": d, "m": m, "r": r, "full": full.value})
+                lambda: {"q": q, "d": d, "m": m, "r": r, "full": full.value})
 
     wit = rep.check("constructed witness families attain every predicted maximum")
     for q, d, m in WITNESS_GRID:
@@ -457,7 +467,7 @@ def suite_sandwich(cfg: VerifyConfig) -> SuiteReport:
                                                         "predicted": res.predicted}
             except WitnessInvalid as exc:
                 ok, seen = False, {"error": str(exc)}
-            wit.case(ok, {"q": q, "d": d, "m": m, "r": r, **seen})
+            wit.case(ok, lambda: {"q": q, "d": d, "m": m, "r": r, **seen})
     return rep
 
 
@@ -482,7 +492,7 @@ def suite_codes(cfg: VerifyConfig) -> SuiteReport:
                       and code.k == len(monomials.reduced_monomials(m, q, d))
                       and code.n == formulas.projective_count(m, q)
                       and not (code.generator == 0).all(axis=0).any())
-                dim.case(ok, {"q": q, "m": m, "d": d, "k": code.k})
+                dim.case(ok, lambda: {"q": q, "m": m, "d": d, "k": code.k})
 
     for q in (2, 3, 4):
         for m in (1, 2):
@@ -498,7 +508,7 @@ def suite_codes(cfg: VerifyConfig) -> SuiteReport:
                     ok = ok and gd == formulas.binom(m + 1, 2)
                 if d >= m * (q - 1) + 1:
                     ok = ok and k == formulas.projective_count(m, q)
-                ideal.case(ok, {"q": q, "m": m, "d": d})
+                ideal.case(ok, lambda: {"q": q, "m": m, "d": d})
 
     # the witness's weight is recounted from the generator, not the scan's masks
     for d, m, q in MINDIST_INSTANCES:
@@ -510,8 +520,8 @@ def suite_codes(cfg: VerifyConfig) -> SuiteReport:
         except DependentBasis:
             recount = None
         mindist.case(res.weight == want == recount,
-                     {"q": q, "m": m, "d": d, "weight": res.weight, "formula": want,
-                      "recount": recount})
+                     lambda: {"q": q, "m": m, "d": d, "weight": res.weight, "formula": want,
+                              "recount": recount})
 
     for d, m, q in GHW_SMALL:
         code = codes.build_prm(d, m, q)
@@ -520,7 +530,7 @@ def suite_codes(cfg: VerifyConfig) -> SuiteReport:
         if d < q:
             for r in range(1, code.k + 1):
                 ok = ok and formulas.ghw_lower_bound(r, d, m, q) <= table[r - 1]
-        hier.case(ok, {"q": q, "m": m, "d": d, "table": list(table)})
+        hier.case(ok, lambda: {"q": q, "m": m, "d": d, "table": list(table)})
     return rep
 
 
@@ -533,7 +543,7 @@ def suite_duality(cfg: VerifyConfig) -> SuiteReport:
     check = rep.check("weight + max zeros = point count at every rank")
     for d, m, q in DUALITY_INSTANCES:
         for row in codes.check_duality(d, m, q, budget=cfg.budget, workers=cfg.workers):
-            check.case(row["holds"], {"q": q, "m": m, "d": d, **row})
+            check.case(row["holds"], lambda: {"q": q, "m": m, "d": d, **row})
     return rep
 
 
@@ -569,4 +579,9 @@ def resolve_suites(names) -> list[str]:
 
 
 def run_suites(names, cfg: VerifyConfig) -> list[SuiteReport]:
-    return [SUITES[name](cfg) for name in resolve_suites(names)]
+    reports = []
+    for name in resolve_suites(names):
+        start = time.perf_counter()
+        reports.append(SUITES[name](cfg))
+        reports[-1].seconds = time.perf_counter() - start
+    return reports

@@ -399,6 +399,7 @@ _TABLES_ARGV = ["tables", "--q", "3", "--d", "2", "--m", "1"]
 @pytest.mark.parametrize("argv, flag", [
     pytest.param(_SEARCH_ARGV, "--budget", id="--budget"),
     pytest.param(_SEARCH_ARGV, "--d", id="--d"),
+    pytest.param(_SEARCH_ARGV, "--r", id="--r"),
     pytest.param(_TABLES_ARGV, "--d", id="tables--d"),
     pytest.param(_TABLES_ARGV, "--m", id="tables--m"),
 ])
@@ -471,7 +472,9 @@ def test_verify_worker_determinism(capsys, tmp_path):
         assert run_cli(capsys, "verify", "--suite", "duality",
                        "--workers", workers, "--output", str(path))[0] == 0
     da, db = json.loads(a.read_text()), json.loads(b.read_text())
-    da.pop("elapsed"), db.pop("elapsed")
+    for data in (da, db):
+        data.pop("elapsed")
+        assert list(data.pop("stats")["suite_s"]) == ["duality"]
     assert json.dumps(da) == json.dumps(db)
 
 

@@ -82,6 +82,22 @@ def test_ghw_table_evaluates_the_code_once(monkeypatch):
         code.generator[0, 0] = 1
 
 
+def test_rank_loops_build_one_row_table(monkeypatch, fresh_row_tables):
+    """Every rank's scan of ghw_table and check_duality reads one row table
+    of the one evaluation matrix."""
+    built = []
+
+    class SpyTable(li.RowTable):
+        def __init__(self, field, mat):
+            super().__init__(field, mat)
+            built.append(mat)
+    monkeypatch.setattr(li, "RowTable", SpyTable)
+    code = co.build_prm(2, 2, 3)
+    assert co.ghw_table(code) == (6, 8, 9, 11, 12, 13)
+    assert all(row["holds"] for row in co.check_duality(2, 2, 3))
+    assert len(built) == 1 and built[0] is code.generator
+
+
 def test_min_distance_formulas():
     assert co.ghw_exhaustive(co.build_prm(2, 2, 3), 1).weight == 6
     assert co.ghw_exhaustive(co.build_prm(2, 2, 2), 1).weight == 2

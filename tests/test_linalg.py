@@ -358,6 +358,32 @@ def test_row_table_stores_no_block_over_the_cap(monkeypatch):
     assert sum(products) == 243 + 81 + 2
 
 
+def test_scan_skips_patterns_whose_pivot_block_peaks_at_the_floor(monkeypatch):
+    """A pattern reaches the kernel only when every pivot's block peaks
+    above the best count of the earlier patterns; the rest are skipped
+    whole and still counted, and the result stays exact."""
+    q, k, r = 3, 6, 2
+    field = make_field(q)
+    mat = _sparse_matrix(np.random.default_rng(20), q, k, 40)
+    table = linalg.RowTable(field, mat)
+    # block p's peak is the best single row with its leading 1 at p
+    assert table.peaks == _naive_scan(q, mat, 1)[3]
+    seen = []
+    kernel = linalg.zero_column_counts
+
+    def spy(field, grid, mat, floor=-1):
+        seen.append(grid.pivots)
+        return kernel(field, grid, mat, floor)
+    monkeypatch.setattr(linalg, "zero_column_counts", spy)
+    best, naive_witness, total, naive_maxima = _naive_scan(q, mat, r)
+    count, witness, enumerated, _ = linalg.scan_max_zero_columns(q, mat, r, 1, None, table)
+    assert count == best and np.array_equal(witness, naive_witness) and enumerated == total
+    patterns = linalg.pivot_patterns(k, r)
+    floors = [max(naive_maxima[:j], default=-1) for j in range(len(patterns))]
+    walked = [p for p, floor in zip(patterns, floors) if all(table.peaks[c] > floor for c in p)]
+    assert seen == walked and 0 < len(walked) < len(patterns)
+
+
 def _reference_row_reduce(field, mat):
     """Gauss-Jordan elimination one entry at a time with the scalar field
     operations."""
@@ -406,7 +432,31 @@ def test_row_reduce_matches_row_by_row_reference(q):
         got, pivots = linalg.row_reduce(field, mat)
         want, want_pivots = _reference_row_reduce(field, mat)
         assert got.shape == mat.shape and got.dtype == np.uint8
-        assert np.array_equal(got, want), mat
         assert pivots == want_pivots
+        # echelon form: each pivot row leads with a 1, zeros below each pivot
+        for i, c in enumerate(pivots):
+            assert got[i, c] == 1 and not got[i, :c].any() and not got[i + 1:, c].any(), mat
+        assert not got[len(pivots):].any()
+        # the same row space: both reduce to one RREF
+        assert np.array_equal(_reference_row_reduce(field, got)[0], want), mat
         assert linalg.rank(field, mat) == len(pivots)
     assert linalg.rank(field, mats[-1]) == 2 and linalg.rank(field, mats[-2]) == 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_rank_matches_reference_with_repeated_and_zero_rows(q):
+    field = make_field(q)
+    rng = np.random.default_rng(100 + q)
+    for _ in range(40):
+        rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 9))
+        base = rng.integers(0, q, size=(rows, cols), dtype=np.uint8)
+        base[rng.random(base.shape) < 0.3] = 0
+        # multiples of earlier rows (a zero multiple is a zero row) and sums of two
+        picks = rng.integers(0, rows, size=(int(rng.integers(1, 5)), 2))
+        scale = rng.integers(0, q, size=(len(picks), 1))
+        extra = [field.mul_table[scale, base[picks[:, 0]]],
+                 field.add_table[base[picks[:, 0]], base[picks[:, 1]]],
+                 np.zeros((int(rng.integers(0, 3)), cols), dtype=np.uint8)]
+        mat = np.vstack([base, *extra])
+        mat = mat[rng.permutation(len(mat))]
+        assert linalg.rank(field, mat) == len(_reference_row_reduce(field, mat)[1]), mat

@@ -2,12 +2,14 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from footprint_lab.errors import (AmbientMismatch, BudgetExceeded,
                                   IndexOutOfRange, OutOfRange, WitnessInvalid)
 from footprint_lab import codes as co
 from footprint_lab import formulas as fo
+from footprint_lab import linalg as li
 from footprint_lab import monomials as mo
 from footprint_lab import varieties as va
 from footprint_lab.polys import make_poly, monomial_poly
@@ -93,6 +95,31 @@ def test_brute_force_worker_invariance():
     assert lone.value == many.value
     assert lone.witness == many.witness
     assert lone.enumerated == many.enumerated
+
+
+@pytest.mark.parametrize("cap", [None, 30])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cached_row_table_scans_like_a_fresh_one(monkeypatch, fresh_row_tables, cap, workers):
+    """Every rank's scan over the cached table gives the fresh table's
+    count, witness, subspaces and violations; a cap of 30 leaves the
+    first blocks unstored."""
+    if cap is not None:
+        monkeypatch.setattr(li, "CHUNK_CAP", cap)
+    monkeypatch.setattr(li, "POOL_MIN_WORK", 0)  # a real pool at workers 2
+    d, m, q = 2, 2, 3
+    mat = va.projective_eval_matrix("reduced", d, m, q)
+    basis = mo.reduced_monomials(m, q, d)
+    for r in range(1, len(basis) + 1):
+        bounds = mo.footprint_sizes(basis, r, mo.stable_degree(d, m, q), q, m)
+        for given in (None, bounds, [-1] * len(bounds)):
+            fresh = li.scan_max_zero_columns(q, mat, r, workers, given)
+            cached = li.scan_max_zero_columns(q, mat, r, workers, given,
+                                              va.projective_row_table("reduced", d, m, q))
+            assert cached[0] == fresh[0] and np.array_equal(cached[1], fresh[1])
+            assert cached[2:] == fresh[2:]
+    assert va.projective_row_table.cache_info().currsize == 1
+    if cap is not None:
+        assert va.projective_row_table("reduced", d, m, q).blocks[0] is None
 
 
 def test_brute_force_all_mode_shifts_by_vanishing_dim():

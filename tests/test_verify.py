@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 
 from footprint_lab import cli, codes, formulas, linalg
-from footprint_lab.verify import VerifyConfig, run_suites
+from footprint_lab.verify import Check, VerifyConfig, run_suites
 
 
 def _macaulay_form_check():
@@ -27,6 +27,24 @@ def test_failing_check_keeps_first_counterexample(monkeypatch):
     assert broken.cases == clean.cases
 
     assert cli.main(["verify", "--suite", "macaulay"]) == 1
+
+
+def test_check_builds_only_the_first_failing_counterexample():
+    built = []
+
+    def builder(i):
+        return lambda: built.append(i) or {"case": i}
+    check = Check("c")
+    check.case(True, builder(0))
+    assert check.passed and check.counterexample is None and built == []
+    check.case(False, builder(1))
+    check.case(False, builder(2), cases=3)
+    check.case(True, builder(3))
+    assert built == [1] and check.counterexample == {"case": 1}
+    assert check.passed is False and check.cases == 6
+    bare = Check("bare")
+    bare.case(False)
+    assert bare.passed is False and bare.counterexample is None
 
 
 def test_codes_dim_check_computes_the_rank(monkeypatch):
