@@ -13,16 +13,16 @@ the row and the evaluation matrix, so a RowTable, built once per matrix
 uint64 zero masks and popcounts of every vector with a leading 1, one
 block per leading position of at most CHUNK_CAP vectors, and each stored
 block's largest popcount; a row of a pattern is a slice of its pivot's
-block.  Rows from larger blocks are multiplied once per pattern, or in
-slices when over the cap.
+block.  A row from a larger block is multiplied once per pattern, one
+product per row, or in slices when over the cap.
 
 The scan kernel, zero_column_counts, is a branch and bound over one
-pattern's rows that keeps the maximum and the index of its first
-maximizer, from which the witness is rebuilt, exact.  Each chunk of
-patterns passes its best count so far to the next pattern as the floor
-to prune at, lowered to the pattern's bound when bounds are given; a
-pattern one of whose pivots' blocks peaks at or below the floor is
-skipped whole, and every subspace still counts as enumerated.
+pattern's rows, one loop for every row, that keeps the maximum and the
+index of its first maximizer, from which the witness is rebuilt, exact.
+Each chunk of patterns passes its best count so far to the next pattern
+as the floor to prune at, lowered to the pattern's bound when bounds are
+given; a pattern one of whose pivots' blocks peaks at or below the floor
+is skipped whole, and every subspace still counts as enumerated.
 
 Every product over F_q, q = p^e, is one float64 BLAS product over F_p
 (matmul): the right factor's entries become their e x e multiplication
@@ -277,22 +277,23 @@ def zero_column_counts(field: FieldSpec, grid: RrefGrid, mat: np.ndarray,
 
     grid is an RrefGrid, or anything with its shape and rows.  Each row's
     packed zero masks and popcounts come from the grid's RowTable, or else
-    from one product over every row of at most CHUNK_CAP values; a longer
-    row is multiplied in slices of CHUNK_CAP as the walk reads it.
+    from one product per row of at most CHUNK_CAP values; a longer row is
+    multiplied in slices of CHUNK_CAP as the walk reads it.
 
     The walk is a branch and bound over the rows in C order, seeded with
-    the count of the grid's first matrix.  The lines of rows 0..i-1 are
-    ANDed with row i's values, at most CHUNK_CAP pairs at a time, and
-    every partial AND whose popcount is at most max(floor, best so far)
-    is dropped with its whole subtree: ANDing more rows cannot raise a
-    popcount, and a tie found later in C order never beats the earlier
-    maximizer.  For the same reason a row's values at or below that bound
-    are dropped before the AND, and a pattern in which a row of at most
-    CHUNK_CAP values has none above it is not walked at all.  A head row
-    over the cap goes one line at a time, so the walk stays in C order;
-    the last row over the cap is read slice by slice for a whole batch of
-    lines, out of C order, so there the bound stays as it was at the
-    batch's start and ties go to the earlier index.
+    the count of the grid's first matrix, and one loop serves every row:
+    row i's values whose popcount is at most the bound, max(floor, best
+    so far), are dropped, the lines of rows 0..i-1 are ANDed with the rest
+    at most CHUNK_CAP pairs at a time, and every AND above the bound goes
+    on to row i+1, or at the last row into the best count.  ANDing more
+    rows cannot raise a popcount, and a tie found later in C order never
+    beats the earlier maximizer, so nothing dropped can win; a pattern in
+    which a row of at most CHUNK_CAP values has none above the bound is
+    not walked at all.  A head row over the cap goes one line at a time,
+    so the walk stays in C order; the last row over the cap is read slice
+    by slice for all its lines, out of C order when there are several, so
+    there the bound stays as it was when the row was reached and ties go
+    to the earlier index.
     """
     *sizes, r, _ = grid.shape
     if len(sizes) != r:
@@ -316,23 +317,17 @@ class _Walk:
 
     def __init__(self, field: FieldSpec, grid, mat: np.ndarray, floor: int):
         self.field, self.grid, self.mat, self.floor = field, grid, mat, floor
-        self.n = n = mat.shape[1]
+        self.n = mat.shape[1]
         *self.sizes, r, _ = grid.shape
         table = getattr(grid, "table", None)
-        self.rows = rows = [None if table is None else table.row(grid.pivots, i)
-                            for i in range(r)]
-        fit = [i for i in range(r) if rows[i] is None and self.sizes[i] <= CHUNK_CAP]
-        if fit:
-            masks = _zero_masks(field, np.concatenate(
-                [grid.rows(i, np.arange(self.sizes[i])) for i in fit]), mat)
-            ends = np.cumsum([self.sizes[i] for i in fit[:-1]])
-            for i, part, counts in zip(fit, np.split(masks, ends, axis=1),
-                                       np.split(_popcounts(masks, n), ends)):
-                rows[i] = part, counts
+        self.rows = [None if table is None else table.row(grid.pivots, i) for i in range(r)]
+        for i, size in enumerate(self.sizes):
+            if self.rows[i] is None and size <= CHUNK_CAP:
+                self.rows[i] = self.values(i, 0, size)
         seed = self.values(0, 0, 1)[0]
         for i in range(1, r):
             seed = seed & self.values(i, 0, 1)[0]
-        self.best, self.first = int(_popcounts(seed, n)[0]), 0
+        self.best, self.first = int(_popcounts(seed, self.n)[0]), 0
 
     def bound(self) -> int:
         return min(max(self.floor, self.best), self.n)  # n: the counts' type holds it
@@ -347,68 +342,43 @@ class _Walk:
 
     def extend(self, i: int, lines: np.ndarray, head: np.ndarray) -> None:
         """Extend lines, C-order indices over rows 0..i-1 whose masks AND
-        to head (words, len(lines)), by every value of row i."""
-        if i == len(self.sizes) - 1:
-            return self.finish(lines, head)
-        size = self.sizes[i]
-        # a row over the cap is read CHUNK_CAP values at a time, one line at a time
-        groups = ([(slice(0, len(lines)), 0, size)] if self.rows[i] is not None else
-                  [(slice(j, j + 1), lo, min(lo + CHUNK_CAP, size))
-                   for j in range(len(lines)) for lo in range(0, size, CHUNK_CAP)])
+        to head (words, len(lines)), by every value of row i: into row i+1,
+        or into the best count at the last row."""
+        size, last = self.sizes[i], i == len(self.sizes) - 1
+        spans = [(lo, min(lo + CHUNK_CAP, size)) for lo in range(0, size, CHUNK_CAP)]
+        if len(spans) > 1 and not last:  # a head row over the cap goes one line at a time
+            groups = [(slice(j, j + 1), lo, hi) for j in range(len(lines)) for lo, hi in spans]
+        else:
+            groups = [(slice(None), lo, hi) for lo, hi in spans]
+        # the last row's slices, each for every line, leave C order when
+        # there are several of both, so there the bound is held
+        held, start = last and len(spans) > 1 and len(lines) > 1, self.bound()
         for part, lo, hi in groups:
             masks, counts = self.values(i, lo, hi)
             sub_lines, sub_head = lines[part], head[:, part]
-            bar = self.bound()
-            keep = np.flatnonzero(counts > bar)
-            s = 0
-            while keep.size and s < len(sub_lines):
+            bar, s = None, 0
+            while s < len(sub_lines):
+                now = start if held else self.bound()
+                if now != bar:  # the values above the bound, refiltered as it rises
+                    bar, keep = now, np.flatnonzero(counts > now)
+                    if not keep.size:
+                        break
+                    kept = masks[:, keep]
                 step = max(1, CHUNK_CAP // keep.size)
-                nxt_lines, nxt_head = self.survivors(
-                    sub_lines[s:s + step], sub_head[:, s:s + step], size,
-                    lo + keep, masks[:, keep], bar)
-                if len(nxt_lines):
-                    self.extend(i + 1, nxt_lines, nxt_head)
+                both = sub_head[:, s:s + step, None] & kept[:, None]
+                pair_counts = _popcounts(both, self.n)
+                if last:
+                    arg = int(np.argmax(pair_counts))
+                    line, value = divmod(arg, keep.size)
+                    self.update(int(pair_counts.flat[arg]),
+                                int(sub_lines[s + line]) * size + lo + int(keep[value]))
+                else:
+                    hit = np.flatnonzero(pair_counts > bar)
+                    if hit.size:
+                        line, value = np.divmod(hit, keep.size)
+                        self.extend(i + 1, sub_lines[s + line] * size + lo + keep[value],
+                                    both.reshape(len(both), -1)[:, hit])
                 s += step
-                if self.bound() != bar:
-                    bar = self.bound()
-                    keep = keep[counts[keep] > bar]
-
-    def survivors(self, lines, head, size, values, masks, bar):
-        """The pairs of a line and a value of a row of size values, whose
-        AND has popcount above bar, in C order: their indices and masks."""
-        both = head[:, :, None] & masks[:, None]
-        hit = np.flatnonzero(_popcounts(both, self.n) > bar)
-        line, value = np.divmod(hit, len(values))
-        return lines[line] * size + values[value], both.reshape(len(both), -1)[:, hit]
-
-    def finish(self, lines: np.ndarray, head: np.ndarray) -> None:
-        """Count every line with every value of the last row."""
-        size = self.sizes[-1]
-        span = size if self.rows[-1] is not None else CHUNK_CAP
-        bar = self.bound()  # held: slices of a row over the cap leave C order
-        for lo in range(0, size, span):
-            self.count(lines, head, lo, min(lo + span, size), bar)
-
-    def count(self, lines: np.ndarray, head: np.ndarray, lo: int, hi: int, bar: int) -> None:
-        """Count every line with the last row's values lo..hi-1 (a method
-        of its own, so that one slice's arrays are freed before the next
-        slice is multiplied)."""
-        size, n = self.sizes[-1], self.n
-        masks, counts = self.values(len(self.sizes) - 1, lo, hi)
-        if len(self.sizes) == 1:  # no head rows: a value's count is its matrix's
-            arg = int(np.argmax(counts))
-            return self.update(int(counts[arg]), lo + arg)
-        keep = np.flatnonzero(counts > bar)
-        if not keep.size:
-            return
-        masks = masks[:, keep]
-        step = max(1, CHUNK_CAP // keep.size)
-        for s in range(0, len(lines), step):
-            pair_counts = _popcounts(head[:, s:s + step, None] & masks[:, None], n)
-            arg = int(np.argmax(pair_counts))
-            line, value = divmod(arg, keep.size)
-            self.update(int(pair_counts.flat[arg]),
-                        int(lines[s + line]) * size + lo + int(keep[value]))
 
     def update(self, top: int, index: int) -> None:
         if top > self.best or top == self.best and index < self.first:

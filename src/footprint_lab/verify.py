@@ -10,6 +10,7 @@ a caller supplies its own grid.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -106,6 +107,10 @@ def suite_reduction(cfg: VerifyConfig) -> SuiteReport:
     qs, m_max, d_max = cfg.grid((2, 3, 4), 2, 6)
     struct = rep.check("reduced form is degree-preserving idempotent normal form")
     evals = rep.check("reduction preserves evaluation on the full affine cube")
+    # two evaluation matrices per degree, C(m+d, d) monomials on q^(m+1) points
+    runtime.charge_budget(sum(q ** (m + 1) * 2 * math.comb(m + d, d) for q in qs
+                              for m in range(m_max + 1) for d in range(d_max + 1)),
+                          cfg.budget, "reduction cube evaluation")
     for q in qs:
         field_q = make_field(q)
         for m in range(m_max + 1):

@@ -370,6 +370,16 @@ def test_verify_subset_walks_charge_the_budget(capsys, suite):
     assert f"refused: {suite} subset walk" in err
 
 
+def test_verify_reduction_charges_the_budget(capsys):
+    # the default grid's cubes price at 18382 evaluations, refused before any is built
+    code, out, err = run_cli(capsys, "verify", "--suite", "reduction", "--budget", "1")
+    assert code == 2
+    assert out == ""
+    assert "refused: reduction cube evaluation: estimated cost 18382 exceeds budget 1" in err
+    code, out, _ = run_cli(capsys, "verify", "--suite", "reduction", "--budget", "18382")
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 def assert_unknown_suite_exits_2(capsys, suites):
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--suite", suites])

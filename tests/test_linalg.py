@@ -177,12 +177,12 @@ def test_kernel_multiplies_once_per_pattern(monkeypatch):
         grid = linalg.RrefGrid(3, 6, pivots)
         sizes = grid.shape[:-2]
         want = _reference_max(field, grid, mat)
-        # each row's values are multiplied once, CHUNK_CAP of them per product
+        # each row's values are multiplied once, in one product per row
         for cap in (2**14, max(sizes), max(sizes) + 1):
             monkeypatch.setattr(linalg, "CHUNK_CAP", cap)
             calls.clear()
             assert linalg.zero_column_counts(field, grid, mat) == want
-            assert len(calls) == -(-sum(sizes) // cap)
+            assert len(calls) == len(sizes)
         assert sum(sizes) <= 2**14
 
 
@@ -202,7 +202,7 @@ def test_kernel_rejects_blocks_that_are_not_grids():
     (4, 4, (1, 3), 3),         # rows 4 x 1: the head row is over the cap, 3 lines a chunk
     (5, 3, (0, 1, 2), 4),      # no free entries: a single matrix
 ])
-def test_rref_batches_follow_the_odometer(monkeypatch, q, k, pivots, cap):
+def test_rref_grid_follows_the_odometer(monkeypatch, q, k, pivots, cap):
     """RrefGrid indexes a pattern's matrices in odometer order, and the
     kernel's chunks at the cap find the first maximizer of that order."""
     expected = list(_naive_rrefs(q, k, pivots))
