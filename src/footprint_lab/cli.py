@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import codes, formulas, monomials, varieties
-from .errors import BudgetExceeded, CapExceeded, NotPrimePower, WitnessInvalid
+from .errors import BudgetExceeded, CapExceeded, NotPrimePower
 from .gf import make_field
 from .verify import VerifyConfig, resolve_suites, run_suites
 
@@ -287,9 +287,6 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except WitnessInvalid as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formulas, linalg, monomials, varieties
-from .errors import AmbientMismatch, DependentBasis, OutOfRange
+from .errors import AmbientMismatch, BadEncoding, DependentBasis, OutOfRange
 from .gf import make_field
 from .monomials import Monomial
 
@@ -50,9 +50,12 @@ def build_prm(d: int, m: int, q: int) -> LinearCode:
 def subspace_weight(code: LinearCode, rows) -> int:
     """Support size of the subcode spanned by the given message rows."""
     field = make_field(code.q)
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint8))
+    rows = np.atleast_2d(np.asarray(rows))
     if rows.shape[1] != code.k:
         raise AmbientMismatch(f"rows have {rows.shape[1]} entries, message space wants {code.k}")
+    if rows.dtype.kind not in "iu" or ((rows < 0) | (rows >= code.q)).any():
+        raise BadEncoding(f"rows hold entries that are not element encodings of F_{code.q}")
+    rows = rows.astype(np.uint8)
     if linalg.rank(field, rows) != rows.shape[0]:
         raise DependentBasis("combination rows are linearly dependent")
     values = linalg.matmul(field, rows, code.generator)
@@ -69,12 +72,10 @@ class GhwResult:
 def ghw_exhaustive(code: LinearCode, r: int, *, budget: int | None = None,
                    workers: int = 1) -> GhwResult:
     """r-th generalized Hamming weight, n - e_r; rows are the projective
-    scan's canonical witness forms as message rows over code.basis."""
+    scan's RREF witness, message rows over code.basis."""
     res = varieties.brute_force_max_points(r, code.order, code.m, code.q,
                                            budget=budget, workers=workers)
-    rows = np.array([[f.coeff(mon) for mon in code.basis] for f in res.witness],
-                    dtype=np.uint8)
-    return GhwResult(weight=code.n - res.value, rows=rows, enumerated=res.enumerated)
+    return GhwResult(weight=code.n - res.value, rows=res.rows, enumerated=res.enumerated)
 
 
 def ghw_table(code: LinearCode, *, budget: int | None = None,

@@ -19,10 +19,6 @@ from .errors import BadLevel, CountOutOfRange
 Monomial = tuple[int, ...]
 
 
-def degree(mon: Monomial) -> int:
-    return sum(mon)
-
-
 def divides(nu: Monomial, mu: Monomial) -> bool:
     """nu | mu componentwise; tuples must share a length."""
     if len(nu) != len(mu):

@@ -39,12 +39,6 @@ class HomogeneousPolynomial(_SparseTerms):
     deg: int
     terms: tuple[tuple[Monomial, int], ...]
 
-    def coeff(self, mon: Monomial) -> int:
-        for nu, c in self.terms:
-            if nu == mon:
-                return c
-        return 0
-
 
 @dataclass(frozen=True)
 class AffinePolynomial(_SparseTerms):

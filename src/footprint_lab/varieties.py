@@ -9,9 +9,9 @@ are reproducible and independent of the worker count.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -76,6 +76,8 @@ def count_common_zeros(polys, m: int, q: int) -> int:
     for f in polys:
         if f.m != m:
             raise AmbientMismatch(f"polynomial in ambient x0..x{f.m}, expected x0..x{m}")
+        for _, c in f.terms:
+            field.check(c)
     zero = np.ones(len(projective_points(m, q)), dtype=bool)
     for deg in sorted({f.deg for f in polys}):
         coeff = _coefficient_matrix([f for f in polys if f.deg == deg], m, deg)
@@ -95,12 +97,14 @@ def _coefficient_matrix(polys, m: int, deg: int) -> np.ndarray:
     return coeff
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SearchResult:
     value: int
     witness: tuple
     enumerated: int
     violations: tuple = ()
+    # a subspace scan's (r, k) uint8 RREF witness, the coefficients of witness
+    rows: np.ndarray | None = dataclasses.field(default=None, compare=False)
 
 
 def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduced",
@@ -143,7 +147,7 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
     witness = tuple(make_poly(m, d, {basis[t]: int(c) for t, c in enumerate(row) if c})
                     for row in rref)
     return SearchResult(value=value, witness=witness, enumerated=enumerated,
-                        violations=violations)
+                        violations=violations, rows=rref)
 
 
 def brute_force_affine_max_points(r: int, d: int, m: int, q: int, *,
@@ -163,7 +167,7 @@ def brute_force_affine_max_points(r: int, d: int, m: int, q: int, *,
     assert enumerated == total
     witness = tuple(make_affine_poly(m, {basis[t]: int(c) for t, c in enumerate(row) if c})
                     for row in rref)
-    return SearchResult(value=value, witness=witness, enumerated=enumerated)
+    return SearchResult(value=value, witness=witness, enumerated=enumerated, rows=rref)
 
 
 def brute_force_max_footprint(r: int, d: int, m: int, q: int, e: int, *,
@@ -191,7 +195,7 @@ def brute_force_max_footprint(r: int, d: int, m: int, q: int, e: int, *,
     return SearchResult(value=best, witness=best_set, enumerated=total)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class WitnessResult:
     value: int
     predicted: int

@@ -297,19 +297,16 @@ def suite_clements_lindstrom(cfg: VerifyConfig) -> SuiteReport:
         seg = monomials.hypercube_lex_segment(lv, q, d, len(tset), "exact")
         sh_seg = monomials.hypercube_shadow(seg, lv, q, d + 1)
         sh_t = monomials.hypercube_shadow(tset, lv, q, d + 1)
-        prefix = monomials.hypercube_lex_segment(lv, q, d + 1, len(sh_t), "exact") \
-            if len(sh_t) <= len(monomials.hypercube_slice(lv, q, d + 1, "exact")) else None
-        contained = prefix is not None and set(sh_seg) <= set(prefix)
+        prefix = monomials.hypercube_lex_segment(lv, q, d + 1, len(sh_t), "exact")
+        contained = set(sh_seg) <= set(prefix)
         fp_ok = (len(monomials.hypercube_footprint(tset, lv, q, d + 1))
                  <= len(monomials.hypercube_footprint(seg, lv, q, d + 1)))
         step.case(contained and fp_ok, lambda: {"q": q, "d": d, "set": _names(tset)})
         for e in range(d, top + 1):
             sh_seg_e = monomials.hypercube_shadow(seg, lv, q, e)
             sh_t_e = monomials.hypercube_shadow(tset, lv, q, e)
-            pool = monomials.hypercube_slice(lv, q, e, "exact")
-            pre = monomials.hypercube_lex_segment(lv, q, e, len(sh_t_e), "exact") \
-                if len(sh_t_e) <= len(pool) else None
-            ok = (pre is not None and set(sh_seg_e) <= set(pre)
+            pre = monomials.hypercube_lex_segment(lv, q, e, len(sh_t_e), "exact")
+            ok = (set(sh_seg_e) <= set(pre)
                   and len(sh_seg_e) <= len(sh_t_e)
                   and len(monomials.hypercube_footprint(tset, lv, q, e))
                   <= len(monomials.hypercube_footprint(seg, lv, q, e))

@@ -476,6 +476,18 @@ def test_verify_pretty_and_csv(capsys):
     assert out.startswith("suite,check,passed,cases")
 
 
+def test_verify_pretty_prints_the_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr(verify.formulas, "affine_max_points_macaulay", lambda *args: -1)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "macaulay", "--q", "3",
+                           "--m-max", "1", "--format", "pretty")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("    FAIL affine maximum agrees with its Macaulay form (7)")
+    assert lines[at + 1] == "         counterexample: {'q': 3, 'm': 1, 'd': 1, 'r': 0}"
+    assert lines[0] == "[FAIL] macaulay (479 cases)"
+    assert lines[-1] == "FAILURES present"
+
+
 def test_verify_worker_determinism(capsys, tmp_path):
     a, b = tmp_path / "v1.json", tmp_path / "v2.json"
     for workers, path in (("1", a), ("2", b)):

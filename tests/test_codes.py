@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from footprint_lab.errors import (AmbientMismatch, DependentBasis,
+from footprint_lab.errors import (AmbientMismatch, BadEncoding, DependentBasis,
                                   IndexOutOfRange, OutOfRange)
 from footprint_lab import codes as co
 from footprint_lab import formulas as fo
@@ -54,6 +54,13 @@ def test_subspace_weight():
         co.subspace_weight(code, [[1, 0, 0], [2, 0, 0]])
     with pytest.raises(AmbientMismatch):
         co.subspace_weight(code, [1, 0])
+
+
+@pytest.mark.parametrize("rows", [[[3, 0, 0]], [[-1, 0, 0]], [[1.0, 0, 0]]])
+def test_subspace_weight_refuses_non_encodings(rows):
+    with pytest.raises(BadEncoding) as info:
+        co.subspace_weight(co.build_prm(1, 2, 3), rows)
+    assert str(info.value) == "rows hold entries that are not element encodings of F_3"
 
 
 def test_ghw_quadrics_on_the_line():

@@ -185,6 +185,22 @@ def test_vanishing_forms_dim():
             assert fo.vanishing_forms_dim(d, m, q) == expect
 
 
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: fo.affine_max_points_macaulay(7, 2, 2, 3), IndexOutOfRange, "rank 7 exceeds 6"),
+    (lambda: fo.known_family(0, 2, 2, 3), IndexOutOfRange, "rank 0 outside 1..6"),
+    (lambda: fo.conjectured_max_points_macaulay(1, 4, 2, 3), OutOfRange, "d = 4 outside 1..3"),
+    (lambda: fo.conjectured_max_points_macaulay(7, 2, 2, 3), IndexOutOfRange,
+     "rank 7 exceeds 6"),
+    (lambda: fo.vanishing_forms_dim(-1, 2, 3), OutOfRange, "d = -1 must be >= 0"),
+], ids=["affine-macaulay-rank", "known-family-rank", "conjectured-macaulay-degree",
+        "conjectured-macaulay-rank", "vanishing-negative-degree"])
+def test_domain_errors(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc
+    assert str(info.value) == message
+
+
 def test_prm_dimension():
     assert fo.prm_dimension(2, 2, 3) == 6
     assert fo.prm_dimension(3, 1, 2) == 3

@@ -237,6 +237,12 @@ def test_expand():
         assert sorted(map(sum, image)) == sorted(map(sum, sset))
 
 
+def test_expand_needs_two_variables():
+    with pytest.raises(BadLevel) as info:
+        mo.expand([(1,)], 3)
+    assert str(info.value) == "exponent shifting needs at least two variables"
+
+
 def test_hypercube():
     assert mo.hypercube(0, 3) == ((),)
     assert len(mo.hypercube(2, 3)) == 9

@@ -2,6 +2,7 @@
 
 import pytest
 
+from footprint_lab.errors import AmbientMismatch
 from footprint_lab.polys import make_affine_poly, make_poly
 
 
@@ -21,3 +22,17 @@ def test_str_and_json(poly, text, data):
     assert str(poly) == text
     assert poly.to_json() == data
     assert poly.is_zero == (text == "0")
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: make_affine_poly(2, {(1, 0, 0): 1}), AmbientMismatch,
+     "monomial (1, 0, 0) not in 2 variables"),
+    (lambda: make_poly(2, 1, {(1, 0): 1}), AmbientMismatch,
+     "monomial (1, 0) not in ambient x0..x2"),
+    (lambda: make_poly(2, 2, {(1, 0, 0): 1}), ValueError, "monomial x0 has degree 1, not 2"),
+], ids=["affine-ambient", "form-ambient", "form-degree"])
+def test_constructor_errors(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc
+    assert str(info.value) == message

@@ -5,14 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from footprint_lab.errors import (AmbientMismatch, BudgetExceeded,
+from footprint_lab.errors import (AmbientMismatch, BadEncoding, BudgetExceeded,
                                   IndexOutOfRange, OutOfRange, WitnessInvalid)
 from footprint_lab import codes as co
 from footprint_lab import formulas as fo
 from footprint_lab import linalg as li
 from footprint_lab import monomials as mo
 from footprint_lab import varieties as va
-from footprint_lab.polys import make_poly, monomial_poly
+from footprint_lab.gf import make_field
+from footprint_lab.polys import make_affine_poly, make_poly, monomial_poly
 from footprint_lab.verify import VerifyConfig, run_suites
 
 
@@ -47,6 +48,13 @@ def test_count_common_zeros():
     assert va.count_common_zeros([vanishing], 1, 2) == 3
     with pytest.raises(AmbientMismatch):
         va.count_common_zeros([monomial_poly(1, (1, 0))], 2, 3)
+
+
+@pytest.mark.parametrize("coeff", [7, -1])
+def test_count_common_zeros_refuses_non_encodings(coeff):
+    with pytest.raises(BadEncoding) as info:
+        va.count_common_zeros([make_poly(2, 1, {(1, 0, 0): coeff})], 2, 3)
+    assert str(info.value) == f"{coeff} is not an element encoding of F_3"
 
 
 def test_brute_force_linear():
@@ -87,6 +95,27 @@ def test_brute_force_argument_checks():
         va.brute_force_max_points(2, 2, 2, 3, budget=100)
     assert info.value.estimated > 100
     assert info.value.budget == 100
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: va.brute_force_max_points(1, 2, 2, 3, mode="bogus"), ValueError, "mode 'bogus'"),
+    (lambda: va.brute_force_max_points(1, 2, 2, 3, mode="all", footprint_check=True),
+     ValueError, "footprint bound check requires reduced mode"),
+    (lambda: va.brute_force_affine_max_points(0, 2, 2, 3), IndexOutOfRange,
+     "r = 0 outside 1..6"),
+    (lambda: va.brute_force_affine_max_points(7, 2, 2, 3), IndexOutOfRange,
+     "r = 7 outside 1..6"),
+    (lambda: va.brute_force_max_footprint(0, 2, 2, 3, 4), IndexOutOfRange,
+     "r = 0 outside 1..6"),
+    (lambda: va.brute_force_max_footprint(7, 2, 2, 3, 4), IndexOutOfRange,
+     "r = 7 outside 1..6"),
+], ids=["bad-mode", "footprint-check-all-mode", "affine-rank-0", "affine-rank-7",
+        "footprint-rank-0", "footprint-rank-7"])
+def test_search_argument_errors(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc
+    assert str(info.value) == message
 
 
 def test_brute_force_worker_invariance():
@@ -274,3 +303,38 @@ def test_search_result_shape():
     assert res.value == 1
     assert res.violations == ()
     assert res.enumerated == fo.gaussian_binomial(2, 1, 2)
+
+
+@pytest.mark.parametrize("r, d, m, q, mode", [
+    (2, 2, 2, 3, "reduced"), (1, 3, 1, 8, "reduced"), (2, 2, 1, 9, "reduced"),
+    (2, 2, 2, 3, "all")])
+def test_projective_rows_are_the_scan_rref(r, d, m, q, mode):
+    """rows is the scan's RREF witness as uint8, the witness forms are its
+    rows over the scan's basis, and ghw reports the same rows."""
+    res = va.brute_force_max_points(r, d, m, q, mode=mode)
+    _, rref, _, _ = li.scan_max_zero_columns(q, va.projective_eval_matrix(mode, d, m, q), r)
+    assert res.rows.dtype == np.uint8 and res.rows.shape == rref.shape
+    assert (res.rows == rref).all()
+    basis = mo.reduced_monomials(m, q, d) if mode == "reduced" else mo.all_monomials(m, d)
+    assert res.witness == tuple(make_poly(m, d, {mon: int(c) for mon, c in zip(basis, row)})
+                                for row in res.rows)
+    assert res == va.brute_force_max_points(r, d, m, q, mode=mode, workers=2)
+    if mode == "reduced":
+        ghw = co.ghw_exhaustive(co.build_prm(d, m, q), r)
+        assert ghw.rows.dtype == np.uint8 and (ghw.rows == res.rows).all()
+
+
+@pytest.mark.parametrize("r, d, m, q", [(2, 2, 2, 3), (1, 2, 1, 4), (3, 2, 2, 2)])
+def test_affine_rows_are_the_scan_rref(r, d, m, q):
+    res = va.brute_force_affine_max_points(r, d, m, q)
+    basis = fo.bounded_tuples(m, q - 1, d, "at_most")
+    mat = li.eval_matrix(make_field(q), basis, va.affine_points(m, q))
+    _, rref, _, _ = li.scan_max_zero_columns(q, mat, r)
+    assert res.rows.dtype == np.uint8 and res.rows.shape == rref.shape
+    assert (res.rows == rref).all()
+    assert res.witness == tuple(make_affine_poly(m, {mon: int(c) for mon, c in zip(basis, row)})
+                                for row in res.rows)
+
+
+def test_footprint_search_has_no_rows():
+    assert va.brute_force_max_footprint(2, 2, 2, 3, 4).rows is None
