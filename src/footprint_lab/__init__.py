@@ -29,9 +29,8 @@ from .varieties import (SearchResult, WitnessResult, affine_points,
                         brute_force_max_footprint, brute_force_max_points,
                         construct_witness, count_common_zeros,
                         projective_points)
-from .codes import (GhwResult, LinearCode, build_prm, check_duality,
-                    export_generator_csv, ghw_exhaustive, ghw_table,
-                    subspace_weight)
+from .codes import (LinearCode, build_prm, check_duality, export_generator_csv,
+                    ghw_exhaustive, ghw_table, subspace_weight)
 from .verify import SUITES, Check, SuiteReport, VerifyConfig, run_suites
 
 __version__ = "0.1.0"

@@ -161,12 +161,12 @@ def _cmd_search(args) -> tuple[dict, int]:
         formula = {"known": formulas.known_max_points(r, d, m, q) if settled else None,
                    "predicted": predicted, "status": status}
         report["mode"] = mode
-        value, witness = res.value, [p.to_json() for p in res.witness]
+        witness = [p.to_json() for p in res.witness]
     elif args.kind == "affine":
         res = varieties.brute_force_affine_max_points(
             r, d, m, q, budget=args.budget, workers=args.workers)
         formula = {"known": formulas.affine_max_points(r, d, m, q)}
-        value, witness = res.value, [p.to_json() for p in res.witness]
+        witness = [p.to_json() for p in res.witness]
     elif args.kind == "footprint":
         stable = monomials.stable_degree(d, m, q)
         e = stable if args.e is None else args.e
@@ -174,14 +174,15 @@ def _cmd_search(args) -> tuple[dict, int]:
         formula = {"known": formulas.projective_upper_bound(r, d, m, q)
                    if e >= stable and d < q else None}
         report["e"] = e
-        value, witness = res.value, [monomials.format_monomial(mon) for mon in res.witness]
+        witness = [monomials.format_monomial(mon) for mon in res.witness]
     else:  # ghw
         prm = codes.build_prm(d, m, q)
         res = codes.ghw_exhaustive(prm, r, budget=args.budget, workers=args.workers)
         points = formulas.known_max_points(r, d, m, q) if d < q else None
         formula = {"known": None if points is None else prm.n - points,
                    "lower_bound": formulas.ghw_lower_bound(r, d, m, q) if d < q else None}
-        value, witness = res.weight, [[int(c) for c in row] for row in res.rows]
+        witness = [[int(c) for c in row] for row in res.rows]
+    value = res.value
     matches = None if formula["known"] is None else value == formula["known"]
     if formula.get("lower_bound") is not None and value < formula["lower_bound"]:
         matches = False

@@ -9,7 +9,7 @@ projective subspace scan (varieties.brute_force_max_points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,44 +62,36 @@ def subspace_weight(code: LinearCode, rows) -> int:
     return code.n - int((values == 0).all(axis=0).sum())
 
 
-@dataclass(frozen=True)
-class GhwResult:
-    weight: int
-    rows: np.ndarray  # (r, k) RREF witness
-    enumerated: int
-
-
 def ghw_exhaustive(code: LinearCode, r: int, *, budget: int | None = None,
-                   workers: int = 1) -> GhwResult:
-    """r-th generalized Hamming weight, n - e_r; rows are the projective
-    scan's RREF witness, message rows over code.basis."""
+                   workers: int = 1) -> varieties.SearchResult:
+    """r-th generalized Hamming weight: the projective scan's SearchResult
+    with value n - e_r; its rows are the message rows over code.basis."""
     res = varieties.brute_force_max_points(r, code.order, code.m, code.q,
                                            budget=budget, workers=workers)
-    return GhwResult(weight=code.n - res.value, rows=res.rows, enumerated=res.enumerated)
+    return replace(res, value=code.n - res.value)
 
 
 def ghw_table(code: LinearCode, *, budget: int | None = None,
               workers: int = 1) -> tuple[int, ...]:
-    return tuple(ghw_exhaustive(code, r, budget=budget, workers=workers).weight
+    return tuple(ghw_exhaustive(code, r, budget=budget, workers=workers).value
                  for r in range(1, code.k + 1))
 
 
 def check_duality(d: int, m: int, q: int, *, budget: int | None = None,
                   workers: int = 1) -> list[dict]:
-    """The projective subspace scan against an independent zero count.
+    """Generalized Hamming weights against an independent zero count.
 
-    weight is n minus the scan's maximum; max_zeros counts the common
-    projective zeros of the scan's witness forms from their own
-    evaluation (count_common_zeros), once per rank; holds checks
+    weight is ghw_exhaustive's; max_zeros counts the common projective
+    zeros of the same result's witness forms from their own evaluation
+    (count_common_zeros), once per rank; holds checks
     weight + max_zeros == n."""
     code = build_prm(d, m, q)
     out = []
     for r in range(1, code.k + 1):
-        res = varieties.brute_force_max_points(r, d, m, q, budget=budget, workers=workers)
-        weight = code.n - res.value
+        res = ghw_exhaustive(code, r, budget=budget, workers=workers)
         zeros = varieties.count_common_zeros(res.witness, m, q)
-        out.append({"r": r, "weight": weight, "max_zeros": zeros, "n": code.n,
-                    "holds": weight + zeros == code.n})
+        out.append({"r": r, "weight": res.value, "max_zeros": zeros, "n": code.n,
+                    "holds": res.value + zeros == code.n})
     return out
 
 

@@ -287,26 +287,24 @@ def zero_column_counts(field: FieldSpec, grid: RrefGrid, mat: np.ndarray,
     at most CHUNK_CAP pairs at a time, and every AND above the bound goes
     on to row i+1, or at the last row into the best count.  ANDing more
     rows cannot raise a popcount, and a tie found later in C order never
-    beats the earlier maximizer, so nothing dropped can win; a pattern in
-    which a row of at most CHUNK_CAP values has none above the bound is
-    not walked at all.  A head row over the cap goes one line at a time,
-    so the walk stays in C order; the last row over the cap is read slice
-    by slice for all its lines, out of C order when there are several, so
-    there the bound stays as it was when the row was reached and ties go
-    to the earlier index.
+    beats the earlier maximizer, so nothing dropped can win, and a row
+    with no value above the bound ends the walk there.  A head row over
+    the cap goes one line at a time, so the walk stays in C order; the
+    last row over the cap is read slice by slice for all its lines, out
+    of C order when there are several, so there the bound stays as it
+    was when the row was reached and ties go to the earlier index.
     """
     *sizes, r, _ = grid.shape
     if len(sizes) != r:
         raise ValueError(f"grid of shape {grid.shape} is not (n_0, ..., n_{{r-1}}, r, k)")
     walk = _Walk(field, grid, mat, floor)
-    rows = walk.rows
-    if all(row is None or row[1].max() > walk.bound() for row in rows):
-        if r > 1 and rows[0] is not None:  # row 0's values are the first lines
-            lines = np.flatnonzero(rows[0][1] > walk.bound())
-            walk.extend(1, lines, rows[0][0][:, lines])
-        else:
-            walk.extend(0, np.zeros(1, dtype=np.intp),
-                        np.full((-(-walk.n // 64), 1), ~np.uint64(0)))
+    row0 = walk.rows[0]
+    if r > 1 and row0 is not None:  # row 0's values are the first lines
+        lines = np.flatnonzero(row0[1] > walk.bound())
+        walk.extend(1, lines, row0[0][:, lines])
+    else:
+        walk.extend(0, np.zeros(1, dtype=np.intp),
+                    np.full((-(-walk.n // 64), 1), ~np.uint64(0)))
     return walk.best, walk.first
 
 

@@ -99,11 +99,19 @@ def _coefficient_matrix(polys, m: int, deg: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class SearchResult:
+    """An exhaustive search's maximum, its earliest witness and the count
+    of candidates enumerated.
+
+    er and affine: value is the most common zeros, witness the r forms
+    attaining it, rows their (r, k) uint8 RREF coefficients over the
+    scan's basis.  ghw: the er scan's result with value n - e_r.
+    footprint: value is the largest footprint, witness the monomial
+    subset, rows None.  rows carries witness again, so it is not compared.
+    """
     value: int
     witness: tuple
     enumerated: int
     violations: tuple = ()
-    # a subspace scan's (r, k) uint8 RREF witness, the coefficients of witness
     rows: np.ndarray | None = dataclasses.field(default=None, compare=False)
 
 

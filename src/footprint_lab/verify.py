@@ -521,8 +521,8 @@ def suite_codes(cfg: VerifyConfig) -> SuiteReport:
             recount = codes.subspace_weight(code, res.rows)
         except DependentBasis:
             recount = None
-        mindist.case(res.weight == want == recount,
-                     lambda: {"q": q, "m": m, "d": d, "weight": res.weight, "formula": want,
+        mindist.case(res.value == want == recount,
+                     lambda: {"q": q, "m": m, "d": d, "weight": res.value, "formula": want,
                               "recount": recount})
 
     for d, m, q in GHW_SMALL:

@@ -101,8 +101,8 @@ def test_criterion_08_code_dimensions_distances_duality():
             for d in range(1, m * (q - 1) + 1):
                 ok = ok and co.build_prm(d, m, q).k == fo.prm_dimension(d, m, q)
     ok = ok and co.ghw_table(co.build_prm(2, 1, 3)) == (2, 3, 4)
-    ok = ok and co.ghw_exhaustive(co.build_prm(2, 2, 3), 1).weight == 6
-    ok = ok and co.ghw_exhaustive(co.build_prm(2, 2, 2), 1).weight == 2
+    ok = ok and co.ghw_exhaustive(co.build_prm(2, 2, 3), 1).value == 6
+    ok = ok and co.ghw_exhaustive(co.build_prm(2, 2, 2), 1).value == 2
     for d, m, q in ((1, 1, 3), (1, 2, 3), (2, 1, 3), (2, 2, 3), (3, 1, 2)):
         ok = ok and all(row["holds"] for row in co.check_duality(d, m, q))
     elapsed = time.perf_counter() - start

@@ -106,11 +106,11 @@ def test_rank_loops_build_one_row_table(monkeypatch, fresh_row_tables):
 
 
 def test_min_distance_formulas():
-    assert co.ghw_exhaustive(co.build_prm(2, 2, 3), 1).weight == 6
-    assert co.ghw_exhaustive(co.build_prm(2, 2, 2), 1).weight == 2
-    assert co.ghw_exhaustive(co.build_prm(3, 1, 4), 1).weight == 2
+    assert co.ghw_exhaustive(co.build_prm(2, 2, 3), 1).value == 6
+    assert co.ghw_exhaustive(co.build_prm(2, 2, 2), 1).value == 2
+    assert co.ghw_exhaustive(co.build_prm(3, 1, 4), 1).value == 2
     for d, m, q in ((2, 2, 3), (2, 2, 2), (3, 1, 4), (1, 2, 3)):
-        assert co.ghw_exhaustive(co.build_prm(d, m, q), 1).weight == \
+        assert co.ghw_exhaustive(co.build_prm(d, m, q), 1).value == \
             fo.prm_min_distance(d, m, q)
 
 
@@ -144,7 +144,7 @@ def test_ghw_is_the_generator_scan(d, m, q, r, workers):
     code = co.build_prm(d, m, q)
     res = co.ghw_exhaustive(code, r, workers=workers)
     zeros, rref, enumerated, _ = li.scan_max_zero_columns(q, code.generator, r, workers)
-    assert res.weight == code.n - zeros
+    assert res.value == code.n - zeros
     assert res.rows.dtype == rref.dtype and (res.rows == rref).all()
     assert res.enumerated == enumerated
 
@@ -153,9 +153,11 @@ def test_ghw_worker_invariance():
     code = co.build_prm(2, 2, 3)
     lone = co.ghw_exhaustive(code, 2, workers=1)
     many = co.ghw_exhaustive(code, 2, workers=4)
-    assert lone.weight == many.weight
+    assert lone.value == many.value
     assert (lone.rows == many.rows).all()
     assert lone.enumerated == many.enumerated == fo.gaussian_binomial(6, 2, 3)
+    assert lone == many
+    assert hash(lone) == hash(many)
 
 
 def test_check_duality():
