@@ -8,8 +8,8 @@ fastest), which fixes the canonical order of the subspaces.
 Within one pivot pattern the rows of an RREF matrix vary independently,
 so an RrefGrid stands for the pattern as a grid with one axis per row and
 makes any row's values on demand.  A row's zero columns depend only on
-the row and the evaluation matrix, so a RowTable, built once per matrix
-(a caller may keep it for every scan of that matrix), holds the packed
+the row and the evaluation matrix, so a RowTable, the scan's one input,
+keeps the matrix and field it was built from and holds the packed
 uint64 zero masks and popcounts of every vector with a leading 1, one
 block per leading position of at most CHUNK_CAP vectors, and each stored
 block's largest popcount; a row of a pattern is a slice of its pivot's
@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldSpec, make_field
+from .gf import FieldSpec
 from .runtime import run_chunks, split_chunks
 
 # Most matrices, row values or grid lines in one intermediate of the scan
@@ -182,12 +182,10 @@ class RrefGrid:
     """Every RREF matrix with the given pivot columns, as a grid of shape
     (n_0, ..., n_{r-1}) whose C order is the canonical order: row i has f_i
     free entries and takes n_i = q**f_i values, whatever the other rows
-    hold.  shape appends (r, k); nothing is built up front.  table, a
-    RowTable of the scan's matrix or None, is where the kernel reads the
-    rows' zero masks from."""
+    hold.  shape appends (r, k); nothing is built up front."""
 
-    def __init__(self, q: int, k: int, pivots: tuple[int, ...], table: RowTable | None = None):
-        self.q, self.pivots, self.table = q, pivots, table
+    def __init__(self, q: int, k: int, pivots: tuple[int, ...]):
+        self.q, self.pivots = q, pivots
         self.free = _free_columns(pivots, k)
         self.shape = tuple(q ** len(f) for f in self.free) + (len(pivots), k)
 
@@ -230,8 +228,8 @@ def _popcounts(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 class RowTable:
-    """Zero masks of row @ mat for every row vector with a leading 1, one
-    block per position p of that 1.
+    """Zero masks of row @ mat over field for every row vector with a
+    leading 1, one block per position p of that 1; field and mat are kept.
 
     Block p holds the packed masks (ceil(n/64), q, ..., q) and popcounts
     (q, ..., q) of the q**(k-1-p) vectors with entries at columns
@@ -242,6 +240,7 @@ class RowTable:
     has more zero columns than peaks[p_i]."""
 
     def __init__(self, field: FieldSpec, mat: np.ndarray):
+        self.field, self.mat = field, mat
         q, (k, n) = field.q, mat.shape
         lead = next((p for p in range(k) if q ** (k - 1 - p) <= CHUNK_CAP), k)
         sizes = [q ** (k - 1 - p) for p in range(lead, k)]
@@ -269,16 +268,16 @@ class RowTable:
 
 
 def zero_column_counts(field: FieldSpec, grid: RrefGrid, mat: np.ndarray,
-                       floor: int = -1) -> tuple[int, int]:
+                       floor: int = -1, table: RowTable | None = None) -> tuple[int, int]:
     """The largest number of columns of matrix @ mat that vanish
     identically over the (r, k) matrices of grid, and the first C-order
     grid index that reaches it, when that number is above floor; at or
     below floor, some count of the grid and its index.
 
     grid is an RrefGrid, or anything with its shape and rows.  Each row's
-    packed zero masks and popcounts come from the grid's RowTable, or else
-    from one product per row of at most CHUNK_CAP values; a longer row is
-    multiplied in slices of CHUNK_CAP as the walk reads it.
+    packed zero masks and popcounts come from table, mat's RowTable, if
+    it stores them, or else from one product per row of at most CHUNK_CAP
+    values; a longer row is multiplied in slices as the walk reads it.
 
     The walk is a branch and bound over the rows in C order, seeded with
     the count of the grid's first matrix, and one loop serves every row:
@@ -297,7 +296,7 @@ def zero_column_counts(field: FieldSpec, grid: RrefGrid, mat: np.ndarray,
     *sizes, r, _ = grid.shape
     if len(sizes) != r:
         raise ValueError(f"grid of shape {grid.shape} is not (n_0, ..., n_{{r-1}}, r, k)")
-    walk = _Walk(field, grid, mat, floor)
+    walk = _Walk(field, grid, mat, floor, table)
     row0 = walk.rows[0]
     if r > 1 and row0 is not None:  # row 0's values are the first lines
         lines = np.flatnonzero(row0[1] > walk.bound())
@@ -313,11 +312,11 @@ class _Walk:
     None for a row over the cap), the floor, and the best count so far
     with its first C-order index."""
 
-    def __init__(self, field: FieldSpec, grid, mat: np.ndarray, floor: int):
+    def __init__(self, field: FieldSpec, grid, mat: np.ndarray, floor: int,
+                 table: RowTable | None):
         self.field, self.grid, self.mat, self.floor = field, grid, mat, floor
         self.n = mat.shape[1]
         *self.sizes, r, _ = grid.shape
-        table = getattr(grid, "table", None)
         self.rows = [None if table is None else table.row(grid.pivots, i) for i in range(r)]
         for i, size in enumerate(self.sizes):
             if self.rows[i] is None and size <= CHUNK_CAP:
@@ -387,8 +386,8 @@ def _zero_scan_chunk(args):
     """One chunk of pivot patterns, starting at pattern index start: each
     prunes at the chunk's best so far, lowered to its bound if given, and
     is skipped when a pivot's block in the table peaks at or below that."""
-    q, mat, table, start, combos, bounds = args
-    field, k = make_field(q), mat.shape[0]
+    table, start, combos, bounds = args
+    field, mat, q, k = table.field, table.mat, table.field.q, len(table.mat)
     best_count, best_rref = -1, None
     enumerated = 0
     violations = []
@@ -397,8 +396,8 @@ def _zero_scan_chunk(args):
         enumerated += pattern_size(pivots, k, q)
         if any(table.peaks[p] is not None and table.peaks[p] <= floor for p in pivots):
             continue
-        grid = RrefGrid(q, k, pivots, table)
-        top, index = zero_column_counts(field, grid, mat, floor)
+        grid = RrefGrid(q, k, pivots)
+        top, index = zero_column_counts(field, grid, mat, floor, table)
         if top > best_count:
             best_count = top
             best_rref = grid[np.unravel_index(index, grid.shape[:-2])]
@@ -407,10 +406,9 @@ def _zero_scan_chunk(args):
     return best_count, best_rref, enumerated, violations
 
 
-def scan_max_zero_columns(q: int, mat: np.ndarray, r: int, workers: int = 1, bounds=None,
-                          table: RowTable | None = None):
+def scan_max_zero_columns(table: RowTable, r: int, workers: int = 1, bounds=None):
     """Maximize the zero-column count of B @ mat over every r-dimensional
-    row space B of F_q^k, k = mat rows.
+    row space B of F_q^k; table is mat's RowTable over F_q, k = mat rows.
 
     Returns (count, rref witness, subspaces enumerated, violations).
     bounds, if given, holds one bound per pattern of pivot_patterns(k, r),
@@ -430,20 +428,17 @@ def scan_max_zero_columns(q: int, mat: np.ndarray, r: int, workers: int = 1, bou
     With several chunks, a pool is started only when the chunks other
     than the largest, whose work is all a pool can take off one process,
     are priced above POOL_MIN_WORK; otherwise the chunks run in-process, in
-    order.  table is mat's RowTable, built here when None; each pool
-    worker gets a copy.
+    order.  Each pool worker gets a copy of table.
     """
-    k = mat.shape[0]
+    q, (k, n) = table.field.q, table.mat.shape
     patterns = pivot_patterns(k, r)
     chunked = split_chunks(list(range(len(patterns))), workers)
     if len(chunked) > 1:
-        work = [sum(pattern_size(patterns[i], k, q) for i in chunk) * mat.shape[1]
+        work = [sum(pattern_size(patterns[i], k, q) for i in chunk) * n
                 for chunk in chunked]
         if sum(work) - max(work) <= POOL_MIN_WORK:
             workers = 1
-    if table is None:
-        table = RowTable(make_field(q), mat)
-    chunk_args = [(q, mat, table, chunk[0], [patterns[i] for i in chunk],
+    chunk_args = [(table, chunk[0], [patterns[i] for i in chunk],
                    None if bounds is None else [bounds[i] for i in chunk]) for chunk in chunked]
     best_count, best_rref = -1, None
     enumerated = 0

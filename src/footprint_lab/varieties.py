@@ -141,12 +141,11 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
                           "projective subspace scan")
     if footprint_check and mode != "reduced":
         raise ValueError("footprint bound check requires reduced mode")
-    mat = projective_eval_matrix(mode, d, m, q)
     # footprint_sizes follows combinations order, the order of pivot_patterns
     bounds = (monomials.footprint_sizes(basis, r, monomials.stable_degree(d, m, q), q, m)
               if footprint_check else None)
     value, rref, enumerated, found = linalg.scan_max_zero_columns(
-        q, mat, r, workers, bounds, projective_row_table(mode, d, m, q))
+        projective_row_table(mode, d, m, q), r, workers, bounds)
     assert enumerated == total
     patterns = linalg.pivot_patterns(k, r) if found else ()
     violations = tuple(
@@ -170,8 +169,8 @@ def brute_force_affine_max_points(r: int, d: int, m: int, q: int, *,
         raise IndexOutOfRange(f"r = {r} outside 1..{k}")
     total = formulas.gaussian_binomial(k, r, q)
     runtime.charge_budget(total * q ** m, budget, "affine subspace scan")
-    mat = linalg.eval_matrix(field, basis, affine_points(m, q))
-    value, rref, enumerated, _ = linalg.scan_max_zero_columns(q, mat, r, workers)
+    table = linalg.RowTable(field, linalg.eval_matrix(field, basis, affine_points(m, q)))
+    value, rref, enumerated, _ = linalg.scan_max_zero_columns(table, r, workers)
     assert enumerated == total
     witness = tuple(make_affine_poly(m, {basis[t]: int(c) for t, c in enumerate(row) if c})
                     for row in rref)

@@ -381,6 +381,10 @@ def suite_macaulay(cfg: VerifyConfig) -> SuiteReport:
     e_form = rep.check("predicted projective maximum agrees with its Macaulay form")
     staircase = rep.check(
         "representation is monotone, strictly staircased and reconstructs its input")
+    # both rank loops run over C(m+d, d) + 1 ranks, each tuple of m+d entries
+    runtime.charge_budget(sum((m + d) * math.comb(m + d, d) for q in qs
+                              for m in range(1, m_max + 1) for d in range(1, q)),
+                          cfg.budget, "macaulay rank evaluation")
     for q in qs:
         for m in range(1, m_max + 1):
             for d in range(1, q):
@@ -485,6 +489,11 @@ def suite_codes(cfg: VerifyConfig) -> SuiteReport:
     ideal = rep.check("vanishing-ideal dimension identities hold beyond the code range")
     mindist = rep.check("exhaustive minimum distance matches the closed form")
     hier = rep.check("weight hierarchy strictly increases to n and clears its floor")
+    # one generator per (q, m, d), k forms evaluated at n points, then ranked
+    runtime.charge_budget(sum(formulas.prm_dimension(d, m, q) * formulas.projective_count(m, q)
+                              for q in qs for m in range(1, m_max + 1)
+                              for d in range(1, m * (q - 1) + 1)),
+                          cfg.budget, "codes generator evaluation")
     for q in qs:
         for m in range(1, m_max + 1):
             for d in range(1, m * (q - 1) + 1):

@@ -380,6 +380,40 @@ def test_verify_reduction_charges_the_budget(capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def test_verify_codes_charges_the_budget(capsys, monkeypatch):
+    # the default grid's 36 generators price at 43944 evaluations, refused before any is built
+    built = []
+    build_prm = verify.codes.build_prm
+    monkeypatch.setattr(verify.codes, "build_prm",
+                        lambda *a, **k: built.append(a) or build_prm(*a, **k))
+    code, out, err = run_cli(capsys, "verify", "--suite", "codes", "--budget", "1")
+    assert code == 2
+    assert out == ""
+    assert "refused: codes generator evaluation: estimated cost 43944 exceeds budget 1" in err
+    assert built == []
+    code, out, _ = run_cli(capsys, "verify", "--suite", "codes", "--budget", "43944")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert built  # the spy does see the suite's generators
+
+
+def test_verify_macaulay_charges_the_budget(capsys, monkeypatch):
+    # the default grid's rank loops price at 8935, refused before any formula is evaluated
+    calls = []
+    for name in ("affine_max_points", "affine_max_points_macaulay", "conjectured_max_points",
+                 "conjectured_max_points_macaulay", "macaulay_tuple"):
+        fn = getattr(verify.formulas, name)
+        monkeypatch.setattr(verify.formulas, name,
+                            lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    code, out, err = run_cli(capsys, "verify", "--suite", "macaulay", "--budget", "1")
+    assert code == 2
+    assert out == ""
+    assert "refused: macaulay rank evaluation: estimated cost 8935 exceeds budget 1" in err
+    assert calls == []
+    code, out, _ = run_cli(capsys, "verify", "--suite", "macaulay", "--budget", "8935")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert calls  # the spies do see the suite's formulas
+
+
 def assert_unknown_suite_exits_2(capsys, suites):
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--suite", suites])

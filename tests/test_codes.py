@@ -10,6 +10,7 @@ from footprint_lab import formulas as fo
 from footprint_lab import linalg as li
 from footprint_lab import monomials as mo
 from footprint_lab import varieties as va
+from footprint_lab.gf import make_field
 
 
 def test_build_prm_shapes():
@@ -143,7 +144,8 @@ def test_ghw_is_the_generator_scan(d, m, q, r, workers):
     nonsymmetric multiplication matrices."""
     code = co.build_prm(d, m, q)
     res = co.ghw_exhaustive(code, r, workers=workers)
-    zeros, rref, enumerated, _ = li.scan_max_zero_columns(q, code.generator, r, workers)
+    zeros, rref, enumerated, _ = li.scan_max_zero_columns(
+        li.RowTable(make_field(q), code.generator), r, workers)
     assert res.value == code.n - zeros
     assert res.rows.dtype == rref.dtype and (res.rows == rref).all()
     assert res.enumerated == enumerated

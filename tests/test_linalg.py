@@ -261,7 +261,7 @@ def test_scan_matches_naive_enumeration(monkeypatch, q, k, r, n, cap, workers):
     odd = [(i, top) for i, top in enumerate(naive_maxima) if i % 2]
     for given, want in ((None, []), (bounds, odd)):
         count, witness, enumerated, violations = linalg.scan_max_zero_columns(
-            q, mat, r, workers, given)
+            linalg.RowTable(make_field(q), mat), r, workers, given)
         assert count == best
         assert np.array_equal(witness, naive_witness)
         assert enumerated == total
@@ -293,7 +293,7 @@ def test_pruned_scan_matches_naive_on_random_instances(monkeypatch, seed, worker
     # bounds of -1 are below every maximum, so they list every pattern's
     for given, want in ((None, []), ([-1] * len(exact), exact), (bounds, over)):
         count, witness, enumerated, violations = linalg.scan_max_zero_columns(
-            q, mat, r, workers, given)
+            linalg.RowTable(make_field(q), mat), r, workers, given)
         assert count == best
         assert np.array_equal(witness, naive_witness)
         assert enumerated == total
@@ -314,10 +314,11 @@ def test_kernel_is_exact_above_its_floor(monkeypatch):
     for cap in (2**14, 30, 4, 1):
         monkeypatch.setattr(linalg, "CHUNK_CAP", cap)
         table = linalg.RowTable(field, mat)
-        tabled = [linalg.RrefGrid(3, 6, pivots, table) for pivots in patterns]
-        for grid, want in zip(grids + tabled, wants + wants[-3:]):
+        cases = [(grid, want, None) for grid, want in zip(grids, wants)]
+        cases += [(grid, want, table) for grid, want in zip(grids[-3:], wants[-3:])]
+        for grid, want, given in cases:
             for floor in (-1, 0, want[0] - 1, want[0], want[0] + 1, 71):
-                got = linalg.zero_column_counts(field, grid, mat, floor)
+                got = linalg.zero_column_counts(field, grid, mat, floor, given)
                 assert got == want if want[0] > floor else got[0] <= floor, (grid.shape, cap)
 
 
@@ -333,7 +334,7 @@ def test_row_table_stores_no_block_over_the_cap(monkeypatch):
     stored = [block[1].size for block in table.blocks if block is not None]
     assert [block is None for block in table.blocks] == [True, True] + [False] * 4
     assert stored == [27, 9, 3, 1] and max(stored) <= cap
-    built, products = [], []
+    products = []
     zero_masks = linalg._zero_masks
 
     def spy_masks(field, values, mat):
@@ -343,15 +344,14 @@ def test_row_table_stores_no_block_over_the_cap(monkeypatch):
     class SpyTable(linalg.RowTable):
         def __init__(self, *args):
             super().__init__(*args)
-            built.append(self)
             products.clear()  # what the kernel multiplies from here on
     monkeypatch.setattr(linalg, "_zero_masks", spy_masks)
-    monkeypatch.setattr(linalg, "RowTable", SpyTable)
-    count, witness, _, maxima = linalg.scan_max_zero_columns(q, mat, 1, 1, [-1] * k)
+    spy_table = SpyTable(field, mat)
+    count, witness, _, maxima = linalg.scan_max_zero_columns(spy_table, 1, 1, [-1] * k)
     best, naive_witness, _, naive_maxima = _naive_scan(q, mat, 1)
     assert count == best and np.array_equal(witness, naive_witness)
     assert maxima == list(enumerate(naive_maxima))
-    assert len(built) == 1 and built[0].blocks[:2] == [None, None]
+    assert spy_table.blocks[:2] == [None, None]
     # patterns (0,) and (1,), rows of 243 and 81 values, in slices of at
     # most cap, plus the first value of each for its pattern's seed
     assert products and max(products) <= cap
@@ -371,12 +371,12 @@ def test_scan_skips_patterns_whose_pivot_block_peaks_at_the_floor(monkeypatch):
     seen = []
     kernel = linalg.zero_column_counts
 
-    def spy(field, grid, mat, floor=-1):
+    def spy(field, grid, mat, floor=-1, table=None):
         seen.append(grid.pivots)
-        return kernel(field, grid, mat, floor)
+        return kernel(field, grid, mat, floor, table)
     monkeypatch.setattr(linalg, "zero_column_counts", spy)
     best, naive_witness, total, naive_maxima = _naive_scan(q, mat, r)
-    count, witness, enumerated, _ = linalg.scan_max_zero_columns(q, mat, r, 1, None, table)
+    count, witness, enumerated, _ = linalg.scan_max_zero_columns(table, r, 1)
     assert count == best and np.array_equal(witness, naive_witness) and enumerated == total
     patterns = linalg.pivot_patterns(k, r)
     floors = [max(naive_maxima[:j], default=-1) for j in range(len(patterns))]

@@ -3,6 +3,7 @@
 import numpy as np
 
 from footprint_lab import codes, linalg, runtime
+from footprint_lab.gf import make_field
 
 
 class _FakePool:
@@ -86,17 +87,17 @@ def _scan_instance():
 
 def test_small_scan_requests_no_pool(monkeypatch):
     q, mat, r, spare, bounds = _scan_instance()
-    want = linalg.scan_max_zero_columns(q, mat, r, 1, bounds)
+    want = linalg.scan_max_zero_columns(linalg.RowTable(make_field(q), mat), r, 1, bounds)
     assert spare <= linalg.POOL_MIN_WORK
     ctx = _patch(monkeypatch, 2)
-    linalg.scan_max_zero_columns(q, mat, r, 2, bounds)
+    linalg.scan_max_zero_columns(linalg.RowTable(make_field(q), mat), r, 2, bounds)
     assert ctx.requests == []
     # the pool starts once the smaller chunk's work exceeds the constant
     monkeypatch.setattr(linalg, "POOL_MIN_WORK", spare)
-    linalg.scan_max_zero_columns(q, mat, r, 2, bounds)
+    linalg.scan_max_zero_columns(linalg.RowTable(make_field(q), mat), r, 2, bounds)
     assert ctx.requests == []
     monkeypatch.setattr(linalg, "POOL_MIN_WORK", spare - 1)
-    got = linalg.scan_max_zero_columns(q, mat, r, 2, bounds)
+    got = linalg.scan_max_zero_columns(linalg.RowTable(make_field(q), mat), r, 2, bounds)
     assert ctx.requests == [2]
     assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2:] == want[2:]
     assert [i for i, _ in want[3]] == list(range(len(bounds)))
@@ -104,7 +105,7 @@ def test_small_scan_requests_no_pool(monkeypatch):
 
 def test_real_pool_matches_one_worker(monkeypatch):
     q, mat, r, _, bounds = _scan_instance()
-    want = linalg.scan_max_zero_columns(q, mat, r, 1, bounds)
+    want = linalg.scan_max_zero_columns(linalg.RowTable(make_field(q), mat), r, 1, bounds)
     requested = []
 
     def spy(fn, chunk_args, workers):
@@ -113,7 +114,7 @@ def test_real_pool_matches_one_worker(monkeypatch):
     monkeypatch.setattr(linalg, "POOL_MIN_WORK", 0)
     monkeypatch.setattr(linalg, "run_chunks", spy)
     monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
-    count, witness, enumerated, maxima = linalg.scan_max_zero_columns(q, mat, r, 2, bounds)
+    count, witness, enumerated, maxima = linalg.scan_max_zero_columns(linalg.RowTable(make_field(q), mat), r, 2, bounds)
     assert requested == [2]
     assert count == want[0] and np.array_equal(witness, want[1])
     assert (enumerated, maxima) == want[2:]

@@ -141,9 +141,9 @@ def test_cached_row_table_scans_like_a_fresh_one(monkeypatch, fresh_row_tables, 
     for r in range(1, len(basis) + 1):
         bounds = mo.footprint_sizes(basis, r, mo.stable_degree(d, m, q), q, m)
         for given in (None, bounds, [-1] * len(bounds)):
-            fresh = li.scan_max_zero_columns(q, mat, r, workers, given)
-            cached = li.scan_max_zero_columns(q, mat, r, workers, given,
-                                              va.projective_row_table("reduced", d, m, q))
+            fresh = li.scan_max_zero_columns(li.RowTable(make_field(q), mat), r, workers, given)
+            cached = li.scan_max_zero_columns(va.projective_row_table("reduced", d, m, q), r,
+                                              workers, given)
             assert cached[0] == fresh[0] and np.array_equal(cached[1], fresh[1])
             assert cached[2:] == fresh[2:]
     assert va.projective_row_table.cache_info().currsize == 1
@@ -312,7 +312,8 @@ def test_projective_rows_are_the_scan_rref(r, d, m, q, mode):
     """rows is the scan's RREF witness as uint8, the witness forms are its
     rows over the scan's basis, and ghw reports the same rows."""
     res = va.brute_force_max_points(r, d, m, q, mode=mode)
-    _, rref, _, _ = li.scan_max_zero_columns(q, va.projective_eval_matrix(mode, d, m, q), r)
+    _, rref, _, _ = li.scan_max_zero_columns(
+        li.RowTable(make_field(q), va.projective_eval_matrix(mode, d, m, q)), r)
     assert res.rows.dtype == np.uint8 and res.rows.shape == rref.shape
     assert (res.rows == rref).all()
     basis = mo.reduced_monomials(m, q, d) if mode == "reduced" else mo.all_monomials(m, d)
@@ -329,7 +330,7 @@ def test_affine_rows_are_the_scan_rref(r, d, m, q):
     res = va.brute_force_affine_max_points(r, d, m, q)
     basis = fo.bounded_tuples(m, q - 1, d, "at_most")
     mat = li.eval_matrix(make_field(q), basis, va.affine_points(m, q))
-    _, rref, _, _ = li.scan_max_zero_columns(q, mat, r)
+    _, rref, _, _ = li.scan_max_zero_columns(li.RowTable(make_field(q), mat), r)
     assert res.rows.dtype == np.uint8 and res.rows.shape == rref.shape
     assert (res.rows == rref).all()
     assert res.witness == tuple(make_affine_poly(m, {mon: int(c) for mon, c in zip(basis, row)})
