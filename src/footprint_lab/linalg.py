@@ -22,7 +22,7 @@ index of its first maximizer, from which the witness is rebuilt, exact.
 Each chunk of patterns passes its best count so far to the next pattern
 as the floor to prune at, lowered to the pattern's bound when bounds are
 given; a pattern one of whose pivots' blocks peaks at or below the floor
-is skipped whole, and every subspace still counts as enumerated.
+is skipped whole.
 
 Every product over F_q, q = p^e, is one float64 BLAS product over F_p
 (matmul): the right factor's entries become their e x e multiplication
@@ -383,17 +383,15 @@ class _Walk:
 
 
 def _zero_scan_chunk(args):
-    """One chunk of pivot patterns, starting at pattern index start: each
-    prunes at the chunk's best so far, lowered to its bound if given, and
-    is skipped when a pivot's block in the table peaks at or below that."""
-    table, start, combos, bounds = args
+    """One chunk of (pivot pattern, bound) items: each pattern prunes at
+    the chunk's best so far, lowered to its bound, and is skipped when a
+    pivot's block in the table peaks at or below that."""
+    table, items = args
     field, mat, q, k = table.field, table.mat, table.field.q, len(table.mat)
     best_count, best_rref = -1, None
-    enumerated = 0
     violations = []
-    for j, pivots in enumerate(combos):
-        floor = best_count if bounds is None else min(best_count, bounds[j])
-        enumerated += pattern_size(pivots, k, q)
+    for pivots, bound in items:
+        floor = min(best_count, bound)
         if any(table.peaks[p] is not None and table.peaks[p] <= floor for p in pivots):
             continue
         grid = RrefGrid(q, k, pivots)
@@ -401,20 +399,20 @@ def _zero_scan_chunk(args):
         if top > best_count:
             best_count = top
             best_rref = grid[np.unravel_index(index, grid.shape[:-2])]
-        if bounds is not None and top > bounds[j]:
-            violations.append((start + j, top))
-    return best_count, best_rref, enumerated, violations
+        if top > bound:
+            violations.append((pivots, top, bound))
+    return best_count, best_rref, violations
 
 
 def scan_max_zero_columns(table: RowTable, r: int, workers: int = 1, bounds=None):
     """Maximize the zero-column count of B @ mat over every r-dimensional
     row space B of F_q^k; table is mat's RowTable over F_q, k = mat rows.
 
-    Returns (count, rref witness, subspaces enumerated, violations).
-    bounds, if given, holds one bound per pattern of pivot_patterns(k, r),
-    and violations lists (i, maximum of pattern i) for every pattern i
-    whose maximum is above bounds[i], in pattern order; without bounds it
-    is empty.  The subspaces enumerated are every subspace, pruned or not.
+    Returns (count, rref witness, violations).  bounds, if given, holds
+    one bound per pattern of pivot_patterns(k, r), and violations lists
+    (pivots, maximum, bound) for every pattern above its bound, in pattern
+    order; every bound defaults to n, which no count exceeds.  bounds of
+    another length raise ValueError before any pattern is scanned.
 
     The patterns are split into `workers` chunks of consecutive patterns.
     Each chunk is a branch and bound: a pattern prunes at the best count
@@ -432,20 +430,17 @@ def scan_max_zero_columns(table: RowTable, r: int, workers: int = 1, bounds=None
     """
     q, (k, n) = table.field.q, table.mat.shape
     patterns = pivot_patterns(k, r)
-    chunked = split_chunks(list(range(len(patterns))), workers)
+    items = list(zip(patterns, [n] * len(patterns) if bounds is None else bounds, strict=True))
+    chunked = split_chunks(items, workers)
     if len(chunked) > 1:
-        work = [sum(pattern_size(patterns[i], k, q) for i in chunk) * n
-                for chunk in chunked]
+        work = [sum(pattern_size(pivots, k, q) for pivots, _ in chunk) * n for chunk in chunked]
         if sum(work) - max(work) <= POOL_MIN_WORK:
             workers = 1
-    chunk_args = [(table, chunk[0], [patterns[i] for i in chunk],
-                   None if bounds is None else [bounds[i] for i in chunk]) for chunk in chunked]
     best_count, best_rref = -1, None
-    enumerated = 0
     violations = []
-    for count, rref, part, found in run_chunks(_zero_scan_chunk, chunk_args, workers):
-        enumerated += part
+    chunk_args = [(table, chunk) for chunk in chunked]
+    for count, rref, found in run_chunks(_zero_scan_chunk, chunk_args, workers):
         violations += found
         if count > best_count:
             best_count, best_rref = count, rref
-    return best_count, best_rref, enumerated, violations
+    return best_count, best_rref, violations

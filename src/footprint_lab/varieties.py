@@ -100,7 +100,7 @@ def _coefficient_matrix(polys, m: int, deg: int) -> np.ndarray:
 @dataclasses.dataclass(frozen=True)
 class SearchResult:
     """An exhaustive search's maximum, its earliest witness and the count
-    of candidates enumerated.
+    of candidates enumerated: the closed-form count that the budget priced.
 
     er and affine: value is the most common zeros, witness the r forms
     attaining it, rows their (r, k) uint8 RREF coefficients over the
@@ -144,16 +144,13 @@ def brute_force_max_points(r: int, d: int, m: int, q: int, *, mode: str = "reduc
     # footprint_sizes follows combinations order, the order of pivot_patterns
     bounds = (monomials.footprint_sizes(basis, r, monomials.stable_degree(d, m, q), q, m)
               if footprint_check else None)
-    value, rref, enumerated, found = linalg.scan_max_zero_columns(
+    value, rref, found = linalg.scan_max_zero_columns(
         projective_row_table(mode, d, m, q), r, workers, bounds)
-    assert enumerated == total
-    patterns = linalg.pivot_patterns(k, r) if found else ()
-    violations = tuple(
-        (tuple(monomials.format_monomial(basis[p]) for p in patterns[i]), top, bounds[i])
-        for i, top in found)
+    violations = tuple((tuple(monomials.format_monomial(basis[p]) for p in pivots), top, bound)
+                       for pivots, top, bound in found)
     witness = tuple(make_poly(m, d, {basis[t]: int(c) for t, c in enumerate(row) if c})
                     for row in rref)
-    return SearchResult(value=value, witness=witness, enumerated=enumerated,
+    return SearchResult(value=value, witness=witness, enumerated=total,
                         violations=violations, rows=rref)
 
 
@@ -170,11 +167,10 @@ def brute_force_affine_max_points(r: int, d: int, m: int, q: int, *,
     total = formulas.gaussian_binomial(k, r, q)
     runtime.charge_budget(total * q ** m, budget, "affine subspace scan")
     table = linalg.RowTable(field, linalg.eval_matrix(field, basis, affine_points(m, q)))
-    value, rref, enumerated, _ = linalg.scan_max_zero_columns(table, r, workers)
-    assert enumerated == total
+    value, rref, _ = linalg.scan_max_zero_columns(table, r, workers)
     witness = tuple(make_affine_poly(m, {basis[t]: int(c) for t, c in enumerate(row) if c})
                     for row in rref)
-    return SearchResult(value=value, witness=witness, enumerated=enumerated, rows=rref)
+    return SearchResult(value=value, witness=witness, enumerated=total, rows=rref)
 
 
 def brute_force_max_footprint(r: int, d: int, m: int, q: int, e: int, *,

@@ -144,11 +144,11 @@ def test_ghw_is_the_generator_scan(d, m, q, r, workers):
     nonsymmetric multiplication matrices."""
     code = co.build_prm(d, m, q)
     res = co.ghw_exhaustive(code, r, workers=workers)
-    zeros, rref, enumerated, _ = li.scan_max_zero_columns(
+    zeros, rref, _ = li.scan_max_zero_columns(
         li.RowTable(make_field(q), code.generator), r, workers)
     assert res.value == code.n - zeros
     assert res.rows.dtype == rref.dtype and (res.rows == rref).all()
-    assert res.enumerated == enumerated
+    assert res.enumerated == fo.gaussian_binomial(code.k, r, q)
 
 
 def test_ghw_worker_invariance():

@@ -222,7 +222,7 @@ def test_rref_grid_follows_the_odometer(monkeypatch, q, k, pivots, cap):
 def _naive_scan(q, mat, r):
     field = make_field(q)
     k = mat.shape[0]
-    best, witness, total, maxima = -1, None, 0, []
+    best, witness, maxima = -1, None, []
     for pivots in linalg.pivot_patterns(k, r):
         rrefs = np.array(list(_naive_rrefs(q, k, pivots)))
         counts = _reference_counts(field, rrefs, mat)
@@ -230,8 +230,7 @@ def _naive_scan(q, mat, r):
             if count > best:
                 best, witness = int(count), rref
         maxima.append(int(counts.max()))
-        total += len(rrefs)
-    return best, witness, total, maxima
+    return best, witness, maxima
 
 
 @pytest.mark.parametrize("q, k, r, n, cap", [
@@ -255,16 +254,16 @@ def test_scan_matches_naive_enumeration(monkeypatch, q, k, r, n, cap, workers):
         monkeypatch.setattr(linalg, "CHUNK_CAP", cap)
     rng = np.random.default_rng(q * 100 + k * 10 + r)
     mat = _sparse_matrix(rng, q, k, n)
-    best, naive_witness, total, naive_maxima = _naive_scan(q, mat, r)
+    best, naive_witness, naive_maxima = _naive_scan(q, mat, r)
     # each odd pattern's bound is one below its maximum, each even one's equals it
     bounds = [top - i % 2 for i, top in enumerate(naive_maxima)]
-    odd = [(i, top) for i, top in enumerate(naive_maxima) if i % 2]
+    patterns = linalg.pivot_patterns(k, r)
+    odd = [(patterns[i], top, top - 1) for i, top in enumerate(naive_maxima) if i % 2]
     for given, want in ((None, []), (bounds, odd)):
-        count, witness, enumerated, violations = linalg.scan_max_zero_columns(
+        count, witness, violations = linalg.scan_max_zero_columns(
             linalg.RowTable(make_field(q), mat), r, workers, given)
         assert count == best
         assert np.array_equal(witness, naive_witness)
-        assert enumerated == total
         assert violations == want
     assert len(set(naive_maxima)) > 1  # the patterns' maxima differ
     if cap is not None:
@@ -286,17 +285,18 @@ def test_pruned_scan_matches_naive_on_random_instances(monkeypatch, seed, worker
     mat[rng.random(mat.shape) < rng.uniform(0.3, 0.9)] = 0
     if seed % 2:
         monkeypatch.setattr(linalg, "CHUNK_CAP", int(rng.integers(2, q ** (k - r) + 1)))
-    best, naive_witness, total, naive_maxima = _naive_scan(q, mat, r)
-    exact = list(enumerate(naive_maxima))
+    best, naive_witness, naive_maxima = _naive_scan(q, mat, r)
+    patterns = linalg.pivot_patterns(k, r)
+    exact = [(pivots, top, -1) for pivots, top in zip(patterns, naive_maxima)]
     bounds = [int(top + rng.integers(-2, 2)) for top in naive_maxima]
-    over = [(i, top) for i, top in exact if top > bounds[i]]
+    over = [(pivots, top, bound) for pivots, top, bound in zip(patterns, naive_maxima, bounds)
+            if top > bound]
     # bounds of -1 are below every maximum, so they list every pattern's
     for given, want in ((None, []), ([-1] * len(exact), exact), (bounds, over)):
-        count, witness, enumerated, violations = linalg.scan_max_zero_columns(
+        count, witness, violations = linalg.scan_max_zero_columns(
             linalg.RowTable(make_field(q), mat), r, workers, given)
         assert count == best
         assert np.array_equal(witness, naive_witness)
-        assert enumerated == total
         assert violations == want
 
 
@@ -347,10 +347,10 @@ def test_row_table_stores_no_block_over_the_cap(monkeypatch):
             products.clear()  # what the kernel multiplies from here on
     monkeypatch.setattr(linalg, "_zero_masks", spy_masks)
     spy_table = SpyTable(field, mat)
-    count, witness, _, maxima = linalg.scan_max_zero_columns(spy_table, 1, 1, [-1] * k)
-    best, naive_witness, _, naive_maxima = _naive_scan(q, mat, 1)
+    count, witness, maxima = linalg.scan_max_zero_columns(spy_table, 1, 1, [-1] * k)
+    best, naive_witness, naive_maxima = _naive_scan(q, mat, 1)
     assert count == best and np.array_equal(witness, naive_witness)
-    assert maxima == list(enumerate(naive_maxima))
+    assert maxima == [((p,), top, -1) for p, top in enumerate(naive_maxima)]
     assert spy_table.blocks[:2] == [None, None]
     # patterns (0,) and (1,), rows of 243 and 81 values, in slices of at
     # most cap, plus the first value of each for its pattern's seed
@@ -361,13 +361,13 @@ def test_row_table_stores_no_block_over_the_cap(monkeypatch):
 def test_scan_skips_patterns_whose_pivot_block_peaks_at_the_floor(monkeypatch):
     """A pattern reaches the kernel only when every pivot's block peaks
     above the best count of the earlier patterns; the rest are skipped
-    whole and still counted, and the result stays exact."""
+    whole, and the result stays exact."""
     q, k, r = 3, 6, 2
     field = make_field(q)
     mat = _sparse_matrix(np.random.default_rng(20), q, k, 40)
     table = linalg.RowTable(field, mat)
     # block p's peak is the best single row with its leading 1 at p
-    assert table.peaks == _naive_scan(q, mat, 1)[3]
+    assert table.peaks == _naive_scan(q, mat, 1)[2]
     seen = []
     kernel = linalg.zero_column_counts
 
@@ -375,13 +375,27 @@ def test_scan_skips_patterns_whose_pivot_block_peaks_at_the_floor(monkeypatch):
         seen.append(grid.pivots)
         return kernel(field, grid, mat, floor, table)
     monkeypatch.setattr(linalg, "zero_column_counts", spy)
-    best, naive_witness, total, naive_maxima = _naive_scan(q, mat, r)
-    count, witness, enumerated, _ = linalg.scan_max_zero_columns(table, r, 1)
-    assert count == best and np.array_equal(witness, naive_witness) and enumerated == total
+    best, naive_witness, naive_maxima = _naive_scan(q, mat, r)
+    count, witness, _ = linalg.scan_max_zero_columns(table, r, 1)
+    assert count == best and np.array_equal(witness, naive_witness)
     patterns = linalg.pivot_patterns(k, r)
     floors = [max(naive_maxima[:j], default=-1) for j in range(len(patterns))]
     walked = [p for p, floor in zip(patterns, floors) if all(table.peaks[c] > floor for c in p)]
     assert seen == walked and 0 < len(walked) < len(patterns)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_scan_refuses_bounds_of_the_wrong_length(monkeypatch, extra):
+    """One bound per pivot pattern: a list one short or one long raises
+    ValueError before any chunk runs."""
+    q, k, r = 3, 5, 2
+    mat = _sparse_matrix(np.random.default_rng(3), q, k, 20)
+    ran = []
+    monkeypatch.setattr(linalg, "run_chunks", lambda *args: ran.append(args))
+    bounds = [-1] * (len(linalg.pivot_patterns(k, r)) + extra)
+    with pytest.raises(ValueError):
+        linalg.scan_max_zero_columns(linalg.RowTable(make_field(q), mat), r, 2, bounds)
+    assert ran == []
 
 
 def _reference_row_reduce(field, mat):

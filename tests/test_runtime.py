@@ -99,8 +99,8 @@ def test_small_scan_requests_no_pool(monkeypatch):
     monkeypatch.setattr(linalg, "POOL_MIN_WORK", spare - 1)
     got = linalg.scan_max_zero_columns(linalg.RowTable(make_field(q), mat), r, 2, bounds)
     assert ctx.requests == [2]
-    assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2:] == want[2:]
-    assert [i for i, _ in want[3]] == list(range(len(bounds)))
+    assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
+    assert [p for p, _, _ in want[2]] == linalg.pivot_patterns(len(mat), r)
 
 
 def test_real_pool_matches_one_worker(monkeypatch):
@@ -114,10 +114,10 @@ def test_real_pool_matches_one_worker(monkeypatch):
     monkeypatch.setattr(linalg, "POOL_MIN_WORK", 0)
     monkeypatch.setattr(linalg, "run_chunks", spy)
     monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
-    count, witness, enumerated, maxima = linalg.scan_max_zero_columns(linalg.RowTable(make_field(q), mat), r, 2, bounds)
+    count, witness, maxima = linalg.scan_max_zero_columns(linalg.RowTable(make_field(q), mat), r, 2, bounds)
     assert requested == [2]
     assert count == want[0] and np.array_equal(witness, want[1])
-    assert (enumerated, maxima) == want[2:]
+    assert maxima == want[2]
     # both chunks reach the maximum, so the merge has to keep the first
-    first, second = runtime.split_chunks([top for _, top in maxima], 2)
+    first, second = runtime.split_chunks([top for _, top, _ in maxima], 2)
     assert max(first) == max(second) == count

@@ -75,12 +75,13 @@ def test_brute_force_witness_recounts():
     assert va.brute_force_max_points(1, 2, 2, 3).enumerated == 364
 
 
-@pytest.mark.parametrize("r, value", [(3, 7), (8, 2)])
+@pytest.mark.parametrize("r, value", enumerate([10, 9, 7, 6, 5, 4, 3, 2, 1, 0], start=1))
 def test_branch_and_bound_decides_large_scans(r, value):
-    """d = q on the plane over F_3: 1.8e10 subspaces at r = 3, decided in
-    well under a second because the scan prunes; each value equals the
-    d = q lower bound, and the witness's own zeros recount it."""
-    res = va.brute_force_max_points(r, 3, 2, 3, budget=10**12)
+    """d = q on the plane over F_3, every rank: up to 1.5e12 subspaces
+    (r = 5), each decided in well under a second because the scan prunes.
+    r = 2's value 9 is one above the d = q lower bound 8, every other
+    value equals its lower bound, and the witness's own zeros recount it."""
+    res = va.brute_force_max_points(r, 3, 2, 3, budget=10**14)
     assert res.enumerated == fo.gaussian_binomial(10, r, 3)
     assert res.value == value
     assert va.count_common_zeros(res.witness, 2, 3) == value
@@ -130,7 +131,7 @@ def test_brute_force_worker_invariance():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cached_row_table_scans_like_a_fresh_one(monkeypatch, fresh_row_tables, cap, workers):
     """Every rank's scan over the cached table gives the fresh table's
-    count, witness, subspaces and violations; a cap of 30 leaves the
+    count, witness and violations; a cap of 30 leaves the
     first blocks unstored."""
     if cap is not None:
         monkeypatch.setattr(li, "CHUNK_CAP", cap)
@@ -312,7 +313,7 @@ def test_projective_rows_are_the_scan_rref(r, d, m, q, mode):
     """rows is the scan's RREF witness as uint8, the witness forms are its
     rows over the scan's basis, and ghw reports the same rows."""
     res = va.brute_force_max_points(r, d, m, q, mode=mode)
-    _, rref, _, _ = li.scan_max_zero_columns(
+    _, rref, _ = li.scan_max_zero_columns(
         li.RowTable(make_field(q), va.projective_eval_matrix(mode, d, m, q)), r)
     assert res.rows.dtype == np.uint8 and res.rows.shape == rref.shape
     assert (res.rows == rref).all()
@@ -330,7 +331,7 @@ def test_affine_rows_are_the_scan_rref(r, d, m, q):
     res = va.brute_force_affine_max_points(r, d, m, q)
     basis = fo.bounded_tuples(m, q - 1, d, "at_most")
     mat = li.eval_matrix(make_field(q), basis, va.affine_points(m, q))
-    _, rref, _, _ = li.scan_max_zero_columns(li.RowTable(make_field(q), mat), r)
+    _, rref, _ = li.scan_max_zero_columns(li.RowTable(make_field(q), mat), r)
     assert res.rows.dtype == np.uint8 and res.rows.shape == rref.shape
     assert (res.rows == rref).all()
     assert res.witness == tuple(make_affine_poly(m, {mon: int(c) for mon, c in zip(basis, row)})
