@@ -41,7 +41,7 @@ def _field_size(text: str) -> int:
 
 
 def _field_sizes(text: str) -> tuple[int, ...]:
-    return tuple(_field_size(part) for part in text.split(","))
+    return tuple(dict.fromkeys(_field_size(part) for part in text.split(",")))
 
 
 def _suites(text: str) -> list[str]:
@@ -103,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--m-max", type=_positive_int, default=None)
     ver.add_argument("--d-max", type=_positive_int, default=None)
     ver.add_argument("--l", type=_positive_int, default=None, help="hypercube level")
-    ver.add_argument("--quick", action="store_true",
-                     help="pin the stock acceptance grids, ignoring grid flags")
     ver.add_argument("--budget", type=_positive_int, default=None)
     ver.add_argument("--workers", type=_positive_int, default=1)
     _output_flags(ver)
@@ -194,8 +192,7 @@ def _cmd_search(args) -> tuple[dict, int]:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     start = time.perf_counter()
-    cfg = VerifyConfig(qs=args.q, m_max=args.m_max, d_max=args.d_max,
-                       level=args.l, quick=args.quick,
+    cfg = VerifyConfig(qs=args.q, m_max=args.m_max, d_max=args.d_max, level=args.l,
                        budget=args.budget, workers=args.workers)
     reports = run_suites(args.suite, cfg)
     suites = [{"suite": rep.suite, "passed": rep.passed, "cases": rep.cases,

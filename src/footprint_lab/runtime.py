@@ -13,24 +13,10 @@ import os
 from .errors import BudgetExceeded
 
 DEFAULT_BUDGET = 10**8
-BUDGET_ENV_VAR = "FOOTPRINT_LAB_BUDGET"
-
-
-def default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None or raw == "":
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {raw!r}")
-    return value
 
 
 def charge_budget(estimated: int, budget: int | None, what: str) -> None:
-    limit = default_budget() if budget is None else budget
+    limit = DEFAULT_BUDGET if budget is None else budget
     if estimated > limit:
         raise BudgetExceeded(
             f"{what}: estimated cost {estimated} exceeds budget {limit}",

@@ -3,8 +3,8 @@ structural identities and inequalities on bounded parameter grids.
 
 Each suite returns a SuiteReport with per-check pass/fail, case counts
 and a first counterexample when something breaks.  The default grids are
-the pinned acceptance instances; passing quick=True forces them even when
-a caller supplies its own grid.
+the pinned acceptance instances; each grid field a caller sets replaces
+its default.
 """
 
 from __future__ import annotations
@@ -65,19 +65,16 @@ class VerifyConfig:
     m_max: int | None = None
     d_max: int | None = None
     level: int | None = None
-    quick: bool = False
     budget: int | None = None
     workers: int = 1
 
     def grid(self, default_qs, default_m=None, default_d=None):
-        if self.quick:
-            return default_qs, default_m, default_d
         return (self.qs or default_qs,
                 self.m_max if self.m_max is not None else default_m,
                 self.d_max if self.d_max is not None else default_d)
 
     def hypercube_level(self) -> int:
-        return self.level if (self.level is not None and not self.quick) else 2
+        return self.level if self.level is not None else 2
 
 
 def _subsets(walks, cfg: VerifyConfig, suite: str):

@@ -16,6 +16,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _without(text: str, *keys: str) -> dict:
+    """A JSON report with the keys outside the determinism contract dropped."""
+    return {key: value for key, value in json.loads(text).items() if key not in keys}
+
+
 def test_tables_json(capsys):
     code, out, _ = run_cli(capsys, "tables", "--q", "3", "--d", "2", "--m", "2")
     assert code == 0
@@ -258,21 +263,17 @@ def test_budget_flag_refusal(capsys):
     assert "refused" in err
 
 
-def test_budget_env_refusal(capsys, monkeypatch):
-    monkeypatch.setenv("FOOTPRINT_LAB_BUDGET", "10")
-    code, _, err = run_cli(capsys, "search", "er", "--q", "3", "--d", "2",
-                           "--m", "2", "--r", "2")
-    assert code == 2
-    assert "exceeds budget 10" in err
-
-
-def test_budget_env_invalid(capsys, monkeypatch):
-    for value in ("-5", "abc"):
-        monkeypatch.setenv("FOOTPRINT_LAB_BUDGET", value)
-        code, _, err = run_cli(capsys, "search", "er", "--q", "3", "--d", "2",
-                               "--m", "2", "--r", "2")
-        assert code == 2
-        assert f"FOOTPRINT_LAB_BUDGET must be positive, got {value!r}" in err
+@pytest.mark.parametrize("value", ["10", "abc"])
+def test_environment_does_not_change_a_search(capsys, monkeypatch, value):
+    """A command's flags are its whole input: no environment variable
+    lowers the budget or fails the run."""
+    argv = ("search", "er", "--q", "3", "--d", "2", "--m", "2", "--r", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("FOOTPRINT_LAB_BUDGET", value)
+    code_env, out_env, _ = run_cli(capsys, *argv)
+    assert code_env == 0
+    assert _without(out_env, "elapsed") == _without(out, "elapsed")
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -436,6 +437,15 @@ def test_verify_suite_list(capsys):
     assert [s["suite"] for s in json.loads(out)["suites"]] == ["wei", "macaulay"]
 
 
+def test_verify_repeated_field_size_runs_once(capsys):
+    """--q drops repeats, keeping the first mention, as --suite does."""
+    code, once, _ = run_cli(capsys, "verify", "--suite", "macaulay", "--q", "3")
+    assert code == 0
+    code, twice, _ = run_cli(capsys, "verify", "--suite", "macaulay", "--q", "3,3")
+    assert code == 0
+    assert _without(twice, "elapsed", "stats") == _without(once, "elapsed", "stats")
+
+
 _SEARCH_ARGV = ["search", "er", "--q", "3", "--d", "2", "--m", "1", "--r", "1", "--budget", "1000"]
 _TABLES_ARGV = ["tables", "--q", "3", "--d", "2", "--m", "1"]
 
@@ -561,13 +571,3 @@ def test_proven_mismatch_exits_1(capsys, monkeypatch):
                            "--m", "1", "--r", "1")
     assert code == 1
     assert json.loads(out)["matches_formula"] is False
-
-
-def test_quick_flag_runs(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "macaulay", "--quick",
-                           "--q", "31", "--m-max", "9")
-    assert code == 0
-    data = json.loads(out)
-    # quick pins the stock grid, so the huge requested grid is ignored
-    assert data["passed"] is True
-    assert data["elapsed"] < 60

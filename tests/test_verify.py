@@ -51,7 +51,7 @@ def test_codes_dim_check_computes_the_rank(monkeypatch):
     """A generator of deficient rank is a failed check with its code's
     parameters, not an exception from the code builder."""
     monkeypatch.setattr(linalg, "rank", lambda field, mat: mat.shape[0] - 1)
-    (rep,) = run_suites(["codes"], VerifyConfig(quick=True))
+    (rep,) = run_suites(["codes"], VerifyConfig())
     dim = rep.checks[0]
     assert dim.name.startswith("generator rank matches")
     assert dim.passed is False
